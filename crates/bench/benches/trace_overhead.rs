@@ -1,6 +1,8 @@
 //! Criterion bench gating the tracing subsystem's disabled-path cost
 //! contract: with tracing off (the default), the controller's write hot
-//! path must not allocate at all in steady state, and a disabled
+//! path must not allocate at all in steady state — neither driven
+//! standalone nor handing its wakes and read completions to an event
+//! queue the way the system kernel does — and a disabled
 //! [`TraceRecorder`] must never allocate. Run by `cargo test --benches`
 //! (one checked iteration) and by `cargo bench` (measured).
 
@@ -10,8 +12,8 @@
 #![allow(unsafe_code)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ladder_memctrl::{standard_tables, FixedWorstPolicy, MemCtrlConfig, MemoryController};
-use ladder_reram::{AddressMap, Geometry, Instant, LineAddr, Picos};
+use ladder_memctrl::{standard_tables, FixedWorstPolicy, MemCtrlConfig, MemoryController, ReqId};
+use ladder_reram::{AddressMap, EventQueue, Geometry, Instant, LineAddr, Picos};
 use ladder_trace::{DispatchKind, TraceRecord, TraceRecorder};
 use ladder_xbar::{TableConfig, TimingTable};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -86,6 +88,50 @@ fn drive_writes(mc: &mut MemoryController, mut now: Instant, writes: u64) -> Ins
     now
 }
 
+/// Hands the controller's registered wakes (`None`) and read completions
+/// (`Some(id)`) to `events`, as the system kernel does after every
+/// dispatch.
+fn absorb(mc: &mut MemoryController, events: &mut EventQueue<Option<ReqId>>) {
+    for (at, _) in mc.drain_wakes() {
+        events.schedule(at, None);
+    }
+    for (id, at) in mc.drain_completed_reads() {
+        events.schedule(at, Some(id));
+    }
+}
+
+/// Kernel-style driver: offers `ops` requests (every fourth a demand
+/// read, the rest line writes), absorbing the controller's outbox into
+/// `events` after every `process` and stepping time from that queue's
+/// pops — never from `next_wake` — whenever the controller rejects.
+fn pump_ops(
+    mc: &mut MemoryController,
+    events: &mut EventQueue<Option<ReqId>>,
+    mut now: Instant,
+    ops: u64,
+) -> Instant {
+    for i in 0..ops {
+        let addr = LineAddr::new(40_000 * 64 + (i * 17 % 8192) * 64);
+        loop {
+            let accepted = if i % 4 == 3 {
+                mc.enqueue_read(addr, now).is_some()
+            } else {
+                mc.enqueue_write(addr, [i as u8; 64], now)
+            };
+            mc.process(now);
+            absorb(mc, events);
+            if accepted {
+                break;
+            }
+            let (t, _) = events
+                .pop()
+                .expect("a rejecting controller has work pending");
+            now = t;
+        }
+    }
+    now
+}
+
 fn fresh_controller(table: &TimingTable) -> MemoryController {
     let map = AddressMap::new(Geometry::default());
     let policy = Box::new(FixedWorstPolicy::new(table));
@@ -117,6 +163,40 @@ fn bench_write_hotpath_disabled(c: &mut Criterion) {
     });
 }
 
+/// The kernel's handoff — draining the controller's wake outbox and read
+/// completions into the one event queue after every dispatch — must not
+/// allocate either: both drains reuse the controller's buffers, and the
+/// event heap keeps its warmed capacity.
+fn bench_kernel_handoff_disabled(c: &mut Criterion) {
+    let table = standard_tables(&TableConfig::ladder_default()).ladder;
+    c.bench_function("controller_kernel_handoff_tracing_disabled", |b| {
+        b.iter(|| {
+            let mut mc = fresh_controller(&table);
+            let mut events = EventQueue::new();
+            let now = pump_ops(&mut mc, &mut events, Instant::ZERO, 4_000);
+            let before = allocations();
+            let now = pump_ops(&mut mc, &mut events, now, 4_000);
+            let after = allocations();
+            assert_eq!(
+                after - before,
+                0,
+                "kernel-style wake and completion handoff allocated"
+            );
+            // The drained wakes live in `events` now, so dispatch them
+            // all before `finish`, as the kernel does.
+            let mut now = now;
+            while let Some((t, _)) = events.pop() {
+                now = t;
+                mc.process(now);
+                absorb(&mut mc, &mut events);
+            }
+            let end = mc.finish(now);
+            assert!(mc.stats().demand_reads > 0, "no read completion handed off");
+            black_box(end)
+        })
+    });
+}
+
 /// The same hot path with an enabled recorder, for comparison in bench
 /// output. Not allocation-gated: the ring buffer grows to its bounded
 /// capacity on first use, which is the documented enabled-mode cost.
@@ -140,6 +220,7 @@ criterion_group!(
     benches,
     bench_disabled_recorder,
     bench_write_hotpath_disabled,
+    bench_kernel_handoff_disabled,
     bench_write_hotpath_traced
 );
 criterion_main!(benches);

@@ -17,7 +17,6 @@
 //! | `interleave` | Extension — striping-policy sweep over a sharded topology |
 //! | `service` | Extension — open-loop tail-latency SLO sweep (load × arrival × scheme) |
 //! | `lifetime_campaign` | Extension — device-lifetime CSV (skew × BER × remap × code scheme) |
-//! | `hotloop` | Extension — hot-loop throughput: writes/sec, events/sec, fast vs. reference paths |
 //!
 //! Every binary parses the same command line through [`BenchArgs`]:
 //! strict by default (unknown flags exit with the usage message, and a

@@ -5,11 +5,10 @@
 //! single-file scan can see:
 //!
 //! * **fast-ref-twin** — every reference kernel (a `pub fn` in a
-//!   `reference` module, a `*_reference`-suffixed `pub fn`, or a
-//!   designated reference enum variant such as `QueueBackend::Heap`)
-//!   must have a same-signature fast twin *and* be exercised by an
-//!   equivalence test (`tests/*equivalence*.rs`). A fast kernel whose
-//!   reference twin or proof vanishes is a finding (DESIGN §15).
+//!   `reference` module or a `*_reference`-suffixed `pub fn`) must have a
+//!   same-signature fast twin *and* be exercised by an equivalence test
+//!   (`tests/*equivalence*.rs`). A fast kernel whose reference twin or
+//!   proof vanishes is a finding (DESIGN §15).
 //! * **mergeable-coverage** — every `*Stats`/`*Counts` struct in the
 //!   fold-scope crates must `impl Mergeable` and be folded into
 //!   `RunResult` or a shard-fold path, so no counter silently drops out
@@ -30,11 +29,6 @@
 use crate::index::{FnItem, SymbolIndex};
 use crate::lexer::{Token, TokenKind};
 use crate::rules::{in_spans, FileUnit, Finding};
-
-/// Enum variants that are reference implementations by designation: the
-/// fast twin is a sibling variant, so only the equivalence-test proof is
-/// checked.
-const REFERENCE_VARIANTS: &[(&str, &str)] = &[("QueueBackend", "Heap")];
 
 /// Crates whose `*Stats`/`*Counts` structs must participate in the
 /// Mergeable fold (the `mergeable-coverage` scope).
@@ -138,35 +132,6 @@ pub(crate) fn check_fast_ref_twin(index: &SymbolIndex, findings: &mut Vec<Findin
                     f.name
                 ),
             });
-        }
-    }
-
-    for (enum_name, variant) in REFERENCE_VARIANTS {
-        for e in &index.enums {
-            if e.name != *enum_name || is_test_path(&e.file) {
-                continue;
-            }
-            let Some((_, line, col)) = e.variants.iter().find(|v| v.0 == *variant) else {
-                continue;
-            };
-            let proven = index.file_idents.iter().any(|(path, idents)| {
-                is_equivalence_test_path(path)
-                    && idents.contains(*enum_name)
-                    && idents.contains(*variant)
-            });
-            if !proven {
-                findings.push(Finding {
-                    rule: "fast-ref-twin",
-                    path: e.file.clone(),
-                    line: *line,
-                    col: *col,
-                    message: format!(
-                        "reference backend `{enum_name}::{variant}` is not \
-                         referenced from any equivalence test \
-                         (tests/*equivalence*.rs)"
-                    ),
-                });
-            }
         }
     }
 }
@@ -511,20 +476,6 @@ mod tests {
             rules_fired(&[unit("crates/xbar/src/table.rs", src)]),
             vec!["fast-ref-twin"]
         );
-    }
-
-    #[test]
-    fn reference_variant_needs_equivalence_mention() {
-        let src = "pub enum QueueBackend { Calendar, Heap }\n";
-        assert_eq!(
-            rules_fired(&[unit("crates/reram/src/time.rs", src)]),
-            vec!["fast-ref-twin"]
-        );
-        let proof = unit(
-            "tests/hotloop_equivalence.rs",
-            "#[test]\nfn t() { let _ = QueueBackend::Heap; }\n",
-        );
-        assert!(rules_fired(&[unit("crates/reram/src/time.rs", src), proof]).is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::policy::WritePolicy;
 use ladder_core::{ReadKind, SpillBuffer};
 use ladder_reram::{
-    AddressMap, DeviceTiming, EventQueue, Instant, LineAddr, LineData, LineStore, Picos, WlgId,
+    AddressMap, DeviceTiming, Instant, LineAddr, LineData, LineStore, Picos, WlgId,
 };
 use ladder_trace::{
     LatencyHistogram, Mergeable, PulseKind, ReadClass, TraceRecord, TraceRecorder, C_LRS_UNTRACKED,
@@ -264,10 +264,10 @@ enum Mode {
 
 /// Why the controller registered a wake-up.
 ///
-/// Every state change that could make new progress possible schedules one
-/// of these on the controller's internal wake queue at the precise instant
-/// the opportunity opens. An external event pump absorbs them through
-/// [`MemoryController::take_wakes`]; standalone drivers step time with
+/// Every state change that could make new progress possible registers one
+/// of these in the controller's wake outbox at the precise instant the
+/// opportunity opens. An external event pump absorbs them through
+/// [`MemoryController::drain_wakes`]; standalone drivers step time with
 /// [`MemoryController::next_wake`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CtrlWake {
@@ -410,9 +410,9 @@ impl Channel {
 /// precise instant at which new progress becomes possible (a
 /// [`CtrlWake`]). Standalone drivers step time with
 /// [`MemoryController::next_wake`]; an event pump drains the registered
-/// wakes with [`MemoryController::take_wakes`] and dispatches them from
+/// wakes with [`MemoryController::drain_wakes`] and dispatches them from
 /// its own queue. Completed demand reads are collected through
-/// [`MemoryController::take_completed_reads`].
+/// [`MemoryController::drain_completed_reads`].
 #[derive(Debug)]
 pub struct MemoryController {
     cfg: MemCtrlConfig,
@@ -429,7 +429,9 @@ pub struct MemoryController {
     read_histogram: LatencyHistogram,
     observer: Option<Box<dyn ObserverDebug>>,
     fault_injector: Option<Box<dyn InjectorDebug>>,
-    wakes: EventQueue<CtrlWake>,
+    /// Wake outbox, in registration order: drained by an event pump or
+    /// pruned and scanned by [`MemoryController::next_wake`].
+    wakes: Vec<(Instant, CtrlWake)>,
     recorder: TraceRecorder,
 }
 
@@ -484,7 +486,7 @@ impl MemoryController {
             read_histogram: LatencyHistogram::new(),
             observer: None,
             fault_injector: None,
-            wakes: EventQueue::new(),
+            wakes: Vec::new(),
             recorder: TraceRecorder::disabled(),
         }
     }
@@ -596,7 +598,7 @@ impl MemoryController {
             enqueued_at: now,
             for_write: None,
         });
-        self.wakes.schedule(now, CtrlWake::WorkArrived);
+        self.wakes.push((now, CtrlWake::WorkArrived));
         Some(id)
     }
 
@@ -637,7 +639,7 @@ impl MemoryController {
         let idx = c.wrq.len();
         c.wrq.push(entry);
         self.stats.wrq_peak = self.stats.wrq_peak.max(self.channels[ch].wrq.len());
-        self.wakes.schedule(now, CtrlWake::WorkArrived);
+        self.wakes.push((now, CtrlWake::WorkArrived));
         let mut e = self.channels[ch].wrq[idx].clone();
         self.prepare_entry(&mut e, now);
         self.channels[ch].wrq[idx] = e;
@@ -756,35 +758,35 @@ impl MemoryController {
         } else {
             c.write_overflow.push_back(entry);
         }
-        self.wakes.schedule(now, CtrlWake::WorkArrived);
+        self.wakes.push((now, CtrlWake::WorkArrived));
     }
 
-    /// Demand-read completions since the last call: `(id, completion)`.
-    pub fn take_completed_reads(&mut self) -> Vec<(ReqId, Instant)> {
-        std::mem::take(&mut self.completed_reads)
+    /// Demand-read completions since the last call, `(id, completion)`,
+    /// drained in completion-registration order.
+    pub fn drain_completed_reads(&mut self) -> std::vec::Drain<'_, (ReqId, Instant)> {
+        self.completed_reads.drain(..)
     }
 
     /// Earliest registered wake strictly after `now`, or `None` when every
     /// queue is empty. Wakes at or before `now` are discarded (their
     /// opportunity is served by the `process(now)` the caller is about to
     /// run, or already was).
-    ///
-    /// This replaces the old polled `next_event` scan over every bank and
-    /// dependency: instead of recomputing candidate times from state, the
-    /// controller registered each one the moment it became known.
     pub fn next_wake(&mut self, now: Instant) -> Option<Instant> {
         if !self.channels.iter().any(Channel::has_work) {
             return None;
         }
-        self.wakes.next_after(now)
+        self.wakes.retain(|&(t, _)| t > now);
+        self.wakes.iter().map(|&(t, _)| t).min()
     }
 
-    /// Drains every registered wake, in firing order, for an external
-    /// event pump to absorb into its own queue. Unlike
+    /// Drains every registered wake, in registration order, for an
+    /// external event pump to absorb into its own queue. Unlike
     /// [`MemoryController::next_wake`] this does not filter stale or
-    /// duplicate entries — the pump coalesces same-instant dispatches.
-    pub fn take_wakes(&mut self) -> Vec<(Instant, CtrlWake)> {
-        self.wakes.drain()
+    /// duplicate entries — the pump coalesces same-instant dispatches, and
+    /// its `(instant, sequence)` order keeps equal-instant wakes in the
+    /// order they were registered.
+    pub fn drain_wakes(&mut self) -> std::vec::Drain<'_, (Instant, CtrlWake)> {
+        self.wakes.drain(..)
     }
 
     /// Whether every queue is empty.
@@ -870,7 +872,7 @@ impl MemoryController {
                 if len >= self.cfg.drain_high {
                     self.channels[ch].mode = Mode::WriteDrain;
                     self.stats.drain_switches += 1;
-                    self.wakes.schedule(now, CtrlWake::ModeSwitch);
+                    self.wakes.push((now, CtrlWake::ModeSwitch));
                 }
             }
             Mode::WriteDrain => {
@@ -879,7 +881,7 @@ impl MemoryController {
                 let any_viable = self.channels[ch].wrq.iter().any(|w| w.prepared);
                 if len <= self.cfg.drain_low || !any_viable {
                     self.channels[ch].mode = Mode::Read;
-                    self.wakes.schedule(now, CtrlWake::ModeSwitch);
+                    self.wakes.push((now, CtrlWake::ModeSwitch));
                     self.retry_spilled(now);
                 }
             }
@@ -902,7 +904,7 @@ impl MemoryController {
         if !targets.is_empty() {
             // Re-prepared writes (and any dependency reads they wire in)
             // become actionable at `now`.
-            self.wakes.schedule(now, CtrlWake::WorkArrived);
+            self.wakes.push((now, CtrlWake::WorkArrived));
         }
         for (ci, wi, id) in targets {
             // Re-locate defensively in case indices shifted (they cannot —
@@ -936,7 +938,7 @@ impl MemoryController {
             .reserve(nominal_burst, timing.t_burst, now);
         let completion = burst_start + timing.t_burst;
         self.banks[bank] = completion;
-        self.wakes.schedule(completion, CtrlWake::BankFree);
+        self.wakes.push((completion, CtrlWake::BankFree));
         if self.recorder.is_enabled() {
             let class = match entry.kind {
                 RKind::Demand => ReadClass::Demand,
@@ -966,7 +968,7 @@ impl MemoryController {
                         dep.ready_at = dep.ready_at.max(completion);
                         if dep.outstanding == 0 {
                             let at = dep.ready_at;
-                            self.wakes.schedule(at, CtrlWake::DepReady);
+                            self.wakes.push((at, CtrlWake::DepReady));
                         }
                     }
                 }
@@ -1033,7 +1035,7 @@ impl MemoryController {
                     // The verify read precedes the retry pulse.
                     let pulse = timing.write_latency(inj.retry_t_wr_at(entry.addr, t_wr, attempt));
                     let pulse_start = now + lat + retry_time + timing.read_latency();
-                    self.wakes.schedule(pulse_start, CtrlWake::RetryPulse);
+                    self.wakes.push((pulse_start, CtrlWake::RetryPulse));
                     self.recorder.record(
                         pulse_start,
                         TraceRecord::VerifyRetry {
@@ -1088,10 +1090,10 @@ impl MemoryController {
             .reserve(nominal_burst, timing.t_burst, now);
         let completion = burst_start + timing.t_burst;
         self.banks[bank] = completion;
-        self.wakes.schedule(completion, CtrlWake::BankFree);
+        self.wakes.push((completion, CtrlWake::BankFree));
         // The write-queue slot frees the moment the write dispatches, so
         // writers rejected on a full queue can retry at `now`.
-        self.wakes.schedule(now, CtrlWake::QueueSlotFree);
+        self.wakes.push((now, CtrlWake::QueueSlotFree));
         if self.recorder.is_enabled() {
             let (wl, bl) = self.map.write_location(entry.addr);
             let (kind, t_worst, t_loc) = match entry.kind {
@@ -1323,11 +1325,62 @@ mod tests {
         let t0 = Instant::ZERO;
         let id = mc.enqueue_read(LineAddr::new(1000), t0).expect("queued");
         mc.process(t0);
-        let done = mc.take_completed_reads();
+        let done: Vec<_> = mc.drain_completed_reads().collect();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, id);
         let lat = done[0].1.duration_since(t0);
         assert_eq!(lat, DeviceTiming::default().read_latency());
+    }
+
+    #[test]
+    fn next_wake_prunes_stale_wakes_and_drain_keeps_registration_order() {
+        use CtrlWake::*;
+        let t = Instant::from_ps;
+        let mut mc = baseline_mc();
+        // Queued work keeps `next_wake` live (the enqueue registers a
+        // WorkArrived at t = 0, which is stale below).
+        assert!(mc.enqueue_write(LineAddr::new(5), [1; 64], t(0)));
+        mc.wakes.extend([
+            (t(30), BankFree),
+            (t(10), DepReady),
+            (t(20), QueueSlotFree),
+            (t(40), ModeSwitch),
+        ]);
+        assert_eq!(mc.next_wake(t(10)), Some(t(20)));
+        assert_eq!(
+            mc.wakes,
+            [
+                (t(30), BankFree),
+                (t(20), QueueSlotFree),
+                (t(40), ModeSwitch)
+            ]
+        );
+        assert_eq!(mc.next_wake(t(40)), None);
+        assert!(mc.wakes.is_empty());
+
+        // An event pump scheduling the drained outbox pops equal-instant
+        // wakes in the order the controller registered them.
+        mc.wakes.extend([
+            (t(50), RetryPulse),
+            (t(50), BankFree),
+            (t(45), DepReady),
+            (t(50), WorkArrived),
+        ]);
+        let mut pump = ladder_reram::EventQueue::new();
+        for (at, wake) in mc.drain_wakes() {
+            pump.schedule(at, wake);
+        }
+        assert!(mc.wakes.is_empty());
+        let popped: Vec<_> = std::iter::from_fn(|| pump.pop()).collect();
+        assert_eq!(
+            popped,
+            [
+                (t(45), DepReady),
+                (t(50), RetryPulse),
+                (t(50), BankFree),
+                (t(50), WorkArrived),
+            ]
+        );
     }
 
     #[test]
@@ -1363,7 +1416,7 @@ mod tests {
         let rid = mc.enqueue_read(LineAddr::new(0), now).expect("queued");
         mc.process(now);
         assert!(
-            mc.take_completed_reads().is_empty(),
+            mc.drain_completed_reads().next().is_none(),
             "read must wait out the drain"
         );
         // Let the drain run its course.
@@ -1373,8 +1426,7 @@ mod tests {
                 None => break,
             }
             mc.process(now);
-            let done = mc.take_completed_reads();
-            if done.iter().any(|&(id, _)| id == rid) {
+            if mc.drain_completed_reads().any(|(id, _)| id == rid) {
                 // The read waited at least one worst-case write.
                 assert!(now.duration_since(Instant::ZERO) >= Picos::from_ns(658.0));
                 return;

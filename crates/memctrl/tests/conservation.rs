@@ -103,7 +103,7 @@ proptest! {
         prop_assert!(stats.data_writes >= accepted_write_addrs.len() as u64);
         // Every completion surfaced exactly once.
         let mut seen = 0u64;
-        for (id, _) in mc.take_completed_reads() {
+        for (id, _) in mc.drain_completed_reads() {
             prop_assert!(completion_ids.contains(&id));
             seen += 1;
         }

@@ -177,8 +177,8 @@ pub fn unshift_group(group: u64, offset: usize) -> u64 {
 /// Byte-at-a-time reference implementations of every kernel above.
 ///
 /// These are the *definitions* the SWAR paths must match; they stay in the
-/// build (not just in tests) so property tests and the `hotloop` bench can
-/// compare against them at any time.
+/// build (not just in tests) so property tests and benches can compare
+/// against them at any time.
 pub mod reference {
     /// Popcount, one byte at a time.
     pub fn ones(bytes: &[u8]) -> u32 {

@@ -31,6 +31,6 @@ mod topology;
 pub use address::{AddressMap, Decoded, Interleave, LineAddr, WlgId};
 pub use geometry::{Geometry, LINES_PER_WLG, LINE_BYTES, PAGE_BYTES};
 pub use store::{line_ones, FaultMask, LineData, LineStore};
-pub use time::{EventQueue, Instant, Picos, QueueBackend};
+pub use time::{EventQueue, Instant, Picos};
 pub use timing::DeviceTiming;
 pub use topology::Topology;

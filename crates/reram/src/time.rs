@@ -174,32 +174,13 @@ impl fmt::Display for Instant {
     }
 }
 
-/// Which data structure backs an [`EventQueue`].
-///
-/// Both backends pop events in exactly the same order — ascending
-/// `(Instant, sequence)` — so a simulation is bit-identical under either.
-/// [`QueueBackend::Calendar`] is the production default;
-/// [`QueueBackend::Heap`] is the straightforward binary heap kept as the
-/// reference implementation for differential tests and the `hotloop`
-/// bench.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QueueBackend {
-    /// Hierarchical calendar/bucket queue (fast path, default).
-    #[default]
-    Calendar,
-    /// Plain binary min-heap (reference path).
-    Heap,
-}
-
 /// A deterministic discrete-event queue of `(Instant, K)` entries with
 /// stable FIFO tie-breaking.
 ///
-/// Events scheduled for the same instant pop in the order they were
-/// scheduled (each entry carries a monotonically increasing sequence
-/// number), so a simulation driven by an `EventQueue` is reproducible
-/// bit-for-bit regardless of queue internals. The backing structure is
-/// chosen at construction ([`EventQueue::with_backend`]); see
-/// [`QueueBackend`].
+/// A binary min-heap keyed on `(Instant, sequence)`: events scheduled for
+/// the same instant pop in the order they were scheduled (each entry
+/// carries a monotonically increasing sequence number), so a simulation
+/// driven by an `EventQueue` is reproducible bit-for-bit.
 ///
 /// # Examples
 ///
@@ -217,15 +198,8 @@ pub enum QueueBackend {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<K> {
-    inner: Inner<K>,
+    heap: BinaryHeap<Scheduled<K>>,
     seq: u64,
-    scheduled_total: u64,
-}
-
-#[derive(Debug)]
-enum Inner<K> {
-    Heap(BinaryHeap<Scheduled<K>>),
-    Calendar(Calendar<K>),
 }
 
 #[derive(Debug)]
@@ -265,241 +239,27 @@ impl<K> Default for EventQueue<K> {
 }
 
 impl<K> EventQueue<K> {
-    /// An empty queue on the default (calendar) backend.
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::default())
-    }
-
-    /// An empty queue on an explicitly chosen backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        let inner = match backend {
-            QueueBackend::Heap => Inner::Heap(BinaryHeap::new()),
-            QueueBackend::Calendar => Inner::Calendar(Calendar::new()),
-        };
         Self {
-            inner,
+            heap: BinaryHeap::new(),
             seq: 0,
-            scheduled_total: 0,
-        }
-    }
-
-    /// The backend this queue was constructed with.
-    pub fn backend(&self) -> QueueBackend {
-        match self.inner {
-            Inner::Heap(_) => QueueBackend::Heap,
-            Inner::Calendar(_) => QueueBackend::Calendar,
         }
     }
 
     /// Schedules `kind` to fire at `at`.
     pub fn schedule(&mut self, at: Instant, kind: K) {
-        let s = Scheduled {
+        self.heap.push(Scheduled {
             at,
             seq: self.seq,
             kind,
-        };
-        match &mut self.inner {
-            Inner::Heap(h) => h.push(s),
-            Inner::Calendar(c) => c.push(s),
-        }
+        });
         self.seq += 1;
-        self.scheduled_total += 1;
     }
 
     /// Removes and returns the earliest event (FIFO among ties).
     pub fn pop(&mut self) -> Option<(Instant, K)> {
-        let s = match &mut self.inner {
-            Inner::Heap(h) => h.pop(),
-            Inner::Calendar(c) => c.pop(),
-        };
-        s.map(|s| (s.at, s.kind))
-    }
-
-    /// The instant of the earliest scheduled event.
-    pub fn peek_time(&self) -> Option<Instant> {
-        match &self.inner {
-            Inner::Heap(h) => h.peek().map(|s| s.at),
-            Inner::Calendar(c) => c.peek().map(|s| s.at),
-        }
-    }
-
-    /// Discards every event scheduled at or before `now` and returns the
-    /// instant of the earliest remaining one. Standalone controller
-    /// drivers use this to step time ("when could anything next happen?")
-    /// without dispatching individual events.
-    pub fn next_after(&mut self, now: Instant) -> Option<Instant> {
-        while let Some(t) = self.peek_time() {
-            if t > now {
-                return Some(t);
-            }
-            self.pop();
-        }
-        None
-    }
-
-    /// Number of events currently scheduled.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Heap(h) => h.len(),
-            Inner::Calendar(c) => c.len,
-        }
-    }
-
-    /// Whether no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Removes every scheduled event, returning them in firing order.
-    pub fn drain(&mut self) -> Vec<(Instant, K)> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(e) = self.pop() {
-            out.push(e);
-        }
-        out
-    }
-}
-
-/// A hierarchical calendar (bucket) queue: events hash into `buckets.len()`
-/// day buckets by `(at >> shift) % buckets.len()`, and a day cursor scans
-/// forward from the last popped day. Each bucket is itself a small binary
-/// heap (the "hierarchical" part), so a degenerate schedule that lands
-/// everything in one bucket gracefully decays to the plain heap instead of
-/// to a linked-list scan.
-///
-/// The bucket count and day width resize deterministically from the live
-/// event count and span, so pop/push are O(1) amortized on the kernel's
-/// typical schedules while the pop *order* — ascending `(at, seq)` — stays
-/// exactly that of the reference heap.
-#[derive(Debug)]
-struct Calendar<K> {
-    buckets: Vec<BinaryHeap<Scheduled<K>>>,
-    /// log2 of the day width in picoseconds.
-    shift: u32,
-    /// Lower bound on the day index of every resident event.
-    cur_day: u64,
-    len: usize,
-}
-
-/// Initial (and minimum) bucket count; always a power of two.
-const CAL_MIN_BUCKETS: usize = 16;
-/// Maximum bucket count.
-const CAL_MAX_BUCKETS: usize = 1 << 15;
-/// Initial day width: 2^10 ps ≈ 1 ns.
-const CAL_INIT_SHIFT: u32 = 10;
-/// Maximum day width: 2^40 ps ≈ 1.1 ms.
-const CAL_MAX_SHIFT: u32 = 40;
-
-impl<K> Calendar<K> {
-    fn new() -> Self {
-        Self {
-            buckets: (0..CAL_MIN_BUCKETS).map(|_| BinaryHeap::new()).collect(),
-            shift: CAL_INIT_SHIFT,
-            cur_day: 0,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn day_of(&self, at: Instant) -> u64 {
-        at.as_ps() >> self.shift
-    }
-
-    fn push(&mut self, s: Scheduled<K>) {
-        let day = self.day_of(s.at);
-        if self.len == 0 || day < self.cur_day {
-            self.cur_day = day;
-        }
-        let mask = self.buckets.len() as u64 - 1;
-        self.buckets[(day & mask) as usize].push(s);
-        self.len += 1;
-        if self.len > self.buckets.len() * 4 && self.buckets.len() < CAL_MAX_BUCKETS {
-            self.resize();
-        }
-    }
-
-    /// Index of the bucket holding the globally earliest event.
-    ///
-    /// Scans one calendar year (every bucket once) from the day cursor; a
-    /// bucket's heap top belongs to the scanned day iff that day is the
-    /// earliest populated one, because all resident days are ≥ `cur_day`
-    /// and days congruent modulo the bucket count differ by a full year.
-    /// If the year is empty (sparse far-future schedule), falls back to a
-    /// direct min search over the bucket tops.
-    fn find_min_bucket(&self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let nb = self.buckets.len() as u64;
-        let mask = nb - 1;
-        for day in self.cur_day..self.cur_day + nb {
-            let b = (day & mask) as usize;
-            if let Some(top) = self.buckets[b].peek() {
-                if self.day_of(top.at) == day {
-                    return Some(b);
-                }
-            }
-        }
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(b, h)| h.peek().map(|top| (b, top)))
-            .min_by_key(|&(_, top)| (top.at, top.seq))
-            .map(|(b, _)| b)
-    }
-
-    fn peek(&self) -> Option<&Scheduled<K>> {
-        self.find_min_bucket().and_then(|b| self.buckets[b].peek())
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<K>> {
-        let b = self.find_min_bucket()?;
-        let s = self.buckets[b].pop()?;
-        self.cur_day = self.day_of(s.at);
-        self.len -= 1;
-        if self.buckets.len() > CAL_MIN_BUCKETS && self.len < self.buckets.len() / 4 {
-            self.resize();
-        }
-        Some(s)
-    }
-
-    /// Rebuilds the calendar around the current population: bucket count ~
-    /// the live event count, day width ~ one event per day over the live
-    /// span. Purely a function of resident `(at, seq)` pairs, so resizing
-    /// is deterministic.
-    fn resize(&mut self) {
-        let mut items: Vec<Scheduled<K>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            items.extend(b.drain());
-        }
-        let nb = items
-            .len()
-            .next_power_of_two()
-            .clamp(CAL_MIN_BUCKETS, CAL_MAX_BUCKETS);
-        self.buckets = (0..nb).map(|_| BinaryHeap::new()).collect();
-        if items.is_empty() {
-            self.shift = CAL_INIT_SHIFT;
-            self.cur_day = 0;
-            self.len = 0;
-            return;
-        }
-        let (lo, hi) = items.iter().fold((u64::MAX, 0u64), |(lo, hi), s| {
-            (lo.min(s.at.as_ps()), hi.max(s.at.as_ps()))
-        });
-        let width = ((hi - lo) / items.len() as u64).max(1);
-        self.shift = (63 - width.leading_zeros()).min(CAL_MAX_SHIFT);
-        self.cur_day = lo >> self.shift;
-        self.len = items.len();
-        let mask = nb as u64 - 1;
-        for s in items {
-            let day = s.at.as_ps() >> self.shift;
-            self.buckets[(day & mask) as usize].push(s);
-        }
+        self.heap.pop().map(|s| (s.at, s.kind))
     }
 }
 
@@ -553,13 +313,10 @@ mod tests {
         q.schedule(Instant::from_ps(300), 'c');
         q.schedule(Instant::from_ps(100), 'a');
         q.schedule(Instant::from_ps(200), 'b');
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(Instant::from_ps(100)));
         assert_eq!(q.pop(), Some((Instant::from_ps(100), 'a')));
         assert_eq!(q.pop(), Some((Instant::from_ps(200), 'b')));
         assert_eq!(q.pop(), Some((Instant::from_ps(300), 'c')));
-        assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 3);
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -573,7 +330,7 @@ mod tests {
             q.schedule(t, i);
             q.schedule(Instant::from_ps(40), 1000 + i);
         }
-        let drained = q.drain();
+        let drained: Vec<(Instant, u32)> = std::iter::from_fn(|| q.pop()).collect();
         let at_40: Vec<u32> = drained
             .iter()
             .filter(|(at, _)| *at == Instant::from_ps(40))
@@ -590,20 +347,5 @@ mod tests {
         assert!(drained[..16]
             .iter()
             .all(|(at, _)| *at == Instant::from_ps(40)));
-    }
-
-    #[test]
-    fn event_queue_next_after_skips_stale() {
-        let mut q = EventQueue::new();
-        q.schedule(Instant::from_ps(10), ());
-        q.schedule(Instant::from_ps(20), ());
-        q.schedule(Instant::from_ps(30), ());
-        assert_eq!(
-            q.next_after(Instant::from_ps(20)),
-            Some(Instant::from_ps(30))
-        );
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.next_after(Instant::from_ps(30)), None);
-        assert!(q.is_empty());
     }
 }

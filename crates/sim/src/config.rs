@@ -20,7 +20,7 @@ use crate::system::{RunResult, SystemBuilder};
 use ladder_coding::CodingKind;
 use ladder_faults::FaultConfig;
 use ladder_memctrl::Tables;
-use ladder_reram::{Geometry, Interleave, QueueBackend, Topology};
+use ladder_reram::{Geometry, Interleave, Topology};
 use ladder_wear::{RemapKind, SegmentVwl};
 
 /// Full description of one simulation: scheme, workload, topology and
@@ -75,11 +75,6 @@ pub struct SimConfig {
     /// byte-identical to runs predating this knob. Only meaningful when
     /// `faults` is set.
     pub remap: RemapKind,
-    /// Event-queue backend driving the kernel. Both backends pop in the
-    /// same deterministic order, so results are bit-identical either way;
-    /// [`QueueBackend::Heap`] is the reference path used by differential
-    /// tests, [`QueueBackend::Calendar`] (default) the fast path.
-    pub queue: QueueBackend,
     /// Capture a structured trace ([`RunResult::trace`]).
     pub trace: bool,
     /// Open-loop service mode: `Some` replaces the closed-loop cores with
@@ -107,7 +102,6 @@ impl SimConfig {
                 faults: None,
                 coding: CodingKind::Flat,
                 remap: RemapKind::Retire,
-                queue: QueueBackend::Calendar,
                 trace: false,
                 service: None,
             },
@@ -198,13 +192,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Selects the kernel event-queue backend (default: the calendar
-    /// queue; the heap is the reference for differential tests).
-    pub fn queue(mut self, backend: QueueBackend) -> Self {
-        self.cfg.queue = backend;
-        self
-    }
-
     /// Captures a structured trace ([`RunResult::trace`]).
     pub fn trace(mut self, on: bool) -> Self {
         self.cfg.trace = on;
@@ -261,7 +248,6 @@ pub(crate) fn builder_for(
         b.coding(cfg.coding);
         b.remap(cfg.remap);
     }
-    b.queue(cfg.queue);
     b.tracing(cfg.trace);
     b
 }
@@ -316,7 +302,6 @@ mod tests {
         assert!(cfg.faults.is_none() && !cfg.trace);
         assert_eq!(cfg.coding, CodingKind::Flat);
         assert_eq!(cfg.remap, RemapKind::Retire);
-        assert_eq!(cfg.queue, QueueBackend::Calendar);
         assert!(cfg.service.is_none());
         assert_eq!(cfg.shards(), 1);
     }
@@ -334,7 +319,6 @@ mod tests {
             .faults(FaultConfig::with_ber(7, 1e-5))
             .coding(CodingKind::TieredBch)
             .remap(RemapKind::Pad)
-            .queue(QueueBackend::Heap)
             .trace(true)
             .service(ServiceConfig::builder().load(6.0).build())
             .build();
@@ -345,7 +329,6 @@ mod tests {
         assert!(cfg.faults.is_some());
         assert_eq!(cfg.coding, CodingKind::TieredBch);
         assert_eq!(cfg.remap, RemapKind::Pad);
-        assert_eq!(cfg.queue, QueueBackend::Heap);
         assert_eq!(cfg.service.unwrap().load, 6.0);
     }
 

@@ -32,7 +32,7 @@ pub use system::{CoreResult, EventCounts, RunResult, SystemBuilder};
 
 // Re-exported so bench binaries can parse and build topologies without
 // depending on ladder-reram directly.
-pub use ladder_reram::{Interleave, QueueBackend, Topology};
+pub use ladder_reram::{Interleave, Topology};
 
 // Re-exported so bench binaries can sweep coding schemes and remap
 // backends without depending on ladder-coding / ladder-wear directly.

@@ -21,7 +21,7 @@ use ladder_memctrl::{
     CtrlWake, CwTrace, LatencyHistogram, MemCtrlConfig, MemStats, MemoryController, ReqId, Tables,
 };
 use ladder_reram::{
-    AddressMap, EventQueue, Geometry, Instant, Interleave, LineAddr, Picos, QueueBackend,
+    AddressMap, EventQueue, Geometry, Instant, Interleave, LineAddr, LineData, Picos,
 };
 use ladder_trace::{DispatchKind, Mergeable, Trace, TraceRecord, TraceRecorder};
 use ladder_wear::{
@@ -237,7 +237,6 @@ pub struct SystemBuilder {
     fault_cfg: Option<FaultConfig>,
     coding: CodingKind,
     remap_kind: RemapKind,
-    queue: QueueBackend,
     tracing: bool,
     service: Option<ServiceGen>,
 }
@@ -272,7 +271,6 @@ impl SystemBuilder {
             fault_cfg: None,
             coding: CodingKind::Flat,
             remap_kind: RemapKind::Retire,
-            queue: QueueBackend::default(),
             tracing: false,
             service: None,
         }
@@ -298,15 +296,6 @@ impl SystemBuilder {
     /// so each shard's digest is bound to its identity.
     pub fn shard(&mut self, index: u32) -> &mut Self {
         self.shard = Some(index);
-        self
-    }
-
-    /// Selects the kernel event-queue backend. Both backends dispatch in
-    /// the same deterministic order (ascending `(Instant, seq)`), so a run
-    /// is bit-identical under either; the heap is kept as the reference
-    /// implementation for differential tests.
-    pub fn queue(&mut self, backend: QueueBackend) -> &mut Self {
-        self.queue = backend;
         self
     }
 
@@ -495,7 +484,7 @@ impl SystemBuilder {
             pending_reads: BTreeMap::new(),
             pending_migrations: VecDeque::new(),
             core_finish: vec![None; cores.len()],
-            events: EventQueue::with_backend(self.queue),
+            events: EventQueue::new(),
             core_wake: vec![None; cores.len()],
             waiting: vec![false; cores.len()],
             last_process: None,
@@ -754,6 +743,44 @@ impl EventKernel {
         }
     }
 
+    /// Offers a demand read of logical `addr` to the controller, mapped
+    /// through the leveling and remap layers.
+    fn admit_read(&mut self, addr: LineAddr, now: Instant) -> Option<ReqId> {
+        let phys = self.map_addr(addr);
+        let id = self.mc.enqueue_read(phys, now)?;
+        self.ctrl_dirty = true;
+        Some(id)
+    }
+
+    /// Offers a write of logical `addr` to the controller: rotates the
+    /// data (horizontal leveling), notes the write with the leveler and
+    /// the remap backend, maps the address and enqueues it. On acceptance
+    /// the migrations the write triggered queue behind it.
+    ///
+    /// The rotation and wear notes happen before the offer, so a rejected
+    /// write that is retried is rotated and noted again and the
+    /// migrations its first offer triggered are dropped.
+    fn admit_write(&mut self, addr: LineAddr, data: &LineData, now: Instant) -> bool {
+        let stored = match &mut self.hwl {
+            Some(h) => h.rotate_for_write(addr, data),
+            None => *data,
+        };
+        let mut migrations = match &mut self.leveler {
+            Some(l) => l.note_write(addr),
+            None => Vec::new(),
+        };
+        if let Some(backend) = &mut self.remap {
+            migrations.extend(backend.note_write(addr));
+        }
+        let phys = self.map_addr(addr);
+        if !self.mc.enqueue_write(phys, stored, now) {
+            return false;
+        }
+        self.ctrl_dirty = true;
+        self.pending_migrations.extend(migrations);
+        true
+    }
+
     fn run(&mut self, cores: &mut [Core]) -> Instant {
         let mut now = Instant::ZERO;
         for i in 0..cores.len() {
@@ -869,47 +896,28 @@ impl EventKernel {
                 return;
             };
             match op {
-                TraceOp::Read { addr, critical } => {
-                    let phys = self.map_addr(addr);
-                    match self.mc.enqueue_read(phys, now) {
-                        Some(id) => {
-                            self.ctrl_dirty = true;
-                            if let Some(svc) = &mut self.service {
-                                svc.inflight.insert(id.0, (tenant, arrived));
-                            }
-                        }
-                        None => {
-                            if let Some(svc) = &mut self.service {
-                                svc.pending.push_front((
-                                    arrived,
-                                    tenant,
-                                    TraceOp::Read { addr, critical },
-                                ));
-                            }
-                            return;
+                TraceOp::Read { addr, critical } => match self.admit_read(addr, now) {
+                    Some(id) => {
+                        if let Some(svc) = &mut self.service {
+                            svc.inflight.insert(id.0, (tenant, arrived));
                         }
                     }
-                }
+                    None => {
+                        if let Some(svc) = &mut self.service {
+                            svc.pending.push_front((
+                                arrived,
+                                tenant,
+                                TraceOp::Read { addr, critical },
+                            ));
+                        }
+                        return;
+                    }
+                },
                 TraceOp::Write { addr, data } => {
-                    // Mirror the core write path exactly: rotate, note
-                    // wear, remap, then offer — and on rejection requeue
-                    // the original op so the retry recomputes everything,
-                    // like a re-driven core does.
-                    let stored = match &mut self.hwl {
-                        Some(h) => h.rotate_for_write(addr, &data),
-                        None => *data,
-                    };
-                    let mut migrations = match &mut self.leveler {
-                        Some(l) => l.note_write(addr),
-                        None => Vec::new(),
-                    };
-                    if let Some(backend) = &mut self.remap {
-                        migrations.extend(backend.note_write(addr));
-                    }
-                    let phys = self.map_addr(addr);
-                    if self.mc.enqueue_write(phys, stored, now) {
-                        self.ctrl_dirty = true;
-                        self.pending_migrations.extend(migrations);
+                    // Same admission as the core write path; on rejection
+                    // requeue the original op so the retry recomputes
+                    // everything, like a re-driven core does.
+                    if self.admit_write(addr, &data, now) {
                         if let Some(svc) = &mut self.service {
                             svc.stats.writes_accepted += 1;
                             let name = &svc.gen.mix().tenants()[tenant].name;
@@ -959,12 +967,13 @@ impl EventKernel {
     }
 
     /// Transfers wakes and read completions the controller registered
-    /// during the last dispatch into the kernel's event queue.
+    /// during the last dispatch into the kernel's event queue, in
+    /// registration order.
     fn absorb(&mut self) {
-        for (at, wake) in self.mc.take_wakes() {
+        for (at, wake) in self.mc.drain_wakes() {
             self.events.schedule(at, EventKind::Ctrl(wake));
         }
-        for (id, at) in self.mc.take_completed_reads() {
+        for (id, at) in self.mc.drain_completed_reads() {
             self.events.schedule(at, EventKind::ReadComplete(id));
         }
     }
@@ -1000,38 +1009,20 @@ impl EventKernel {
                     }
                     return;
                 }
-                CoreAction::IssueRead { addr } => {
-                    let phys = self.map_addr(addr);
-                    match self.mc.enqueue_read(phys, now) {
-                        Some(id) => {
-                            self.ctrl_dirty = true;
-                            self.pending_reads.insert(id.0, i);
-                            cores[i].on_read_issued(id.0, now);
-                        }
-                        None => {
-                            cores[i].on_read_rejected(now);
-                            self.waiting[i] = true;
-                            return;
-                        }
+                CoreAction::IssueRead { addr } => match self.admit_read(addr, now) {
+                    Some(id) => {
+                        self.pending_reads.insert(id.0, i);
+                        cores[i].on_read_issued(id.0, now);
                     }
-                }
+                    None => {
+                        cores[i].on_read_rejected(now);
+                        self.waiting[i] = true;
+                        return;
+                    }
+                },
                 CoreAction::IssueWrite { addr, data } => {
-                    let stored = match &mut self.hwl {
-                        Some(h) => h.rotate_for_write(addr, &data),
-                        None => *data,
-                    };
-                    let mut migrations = match &mut self.leveler {
-                        Some(l) => l.note_write(addr),
-                        None => Vec::new(),
-                    };
-                    if let Some(backend) = &mut self.remap {
-                        migrations.extend(backend.note_write(addr));
-                    }
-                    let phys = self.map_addr(addr);
-                    if self.mc.enqueue_write(phys, stored, now) {
-                        self.ctrl_dirty = true;
+                    if self.admit_write(addr, &data, now) {
                         cores[i].on_write_accepted(now);
-                        self.pending_migrations.extend(migrations);
                     } else {
                         cores[i].on_write_rejected(now);
                         self.waiting[i] = true;

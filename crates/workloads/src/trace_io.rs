@@ -79,6 +79,12 @@ pub fn parse_trace(text: &str) -> Result<Vec<MemEvent>, String> {
                 if hex.len() != LINE_BYTES * 2 {
                     return Err(err("data must be 128 hex chars"));
                 }
+                // Checked per byte before slicing: a multibyte character
+                // would split a char boundary below, and `from_str_radix`
+                // alone accepts a leading `+`.
+                if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                    return Err(err("bad hex byte"));
+                }
                 let mut data = [0u8; LINE_BYTES];
                 for (i, b) in data.iter_mut().enumerate() {
                     *b = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16)
@@ -177,5 +183,12 @@ mod tests {
         let short_data = "5 W 40 aabb";
         assert!(parse_trace(short_data).unwrap_err().contains("128 hex"));
         assert!(parse_trace("1 Q 0 0").unwrap_err().contains("unknown op"));
+        // 128 bytes, but not 128 hex digits: a multibyte character and a
+        // sign are rejected, not sliced through or parsed.
+        let multibyte = format!("5 W 40 0\u{e9}{}", "0".repeat(125));
+        assert_eq!(multibyte.split(' ').nth(3).map(str::len), Some(128));
+        assert_eq!(parse_trace(&multibyte).unwrap_err(), "line 1: bad hex byte");
+        let signed = format!("1 R 0 1\n5 W 40 +f{}", "0".repeat(126));
+        assert_eq!(parse_trace(&signed).unwrap_err(), "line 2: bad hex byte");
     }
 }

@@ -318,8 +318,8 @@ impl TimingTable {
 
     /// Reference implementation of [`TimingTable::lookup_ps`]: the original
     /// per-call band arithmetic (three integer divisions). Kept so property
-    /// tests and the `hotloop` bench can prove the quantized fast path
-    /// returns bit-identical latencies for every `⟨WL, BL, C_lrs⟩` cell.
+    /// tests can prove the quantized fast path returns bit-identical
+    /// latencies for every `⟨WL, BL, C_lrs⟩` cell.
     ///
     /// # Panics
     ///

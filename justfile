@@ -61,18 +61,10 @@ smoke:
     cargo build --release -p ladder-bench --offline
     for bin in fig2 fig4b fig11 fig15 main_eval lifetime variability tables \
                ablations crash mna_table extension faults interleave service \
-               lifetime_campaign hotloop; do \
+               lifetime_campaign; do \
         echo "-> $bin"; \
         ./target/release/$bin --quick --jobs 2 >/dev/null; \
     done
-
-# Hot-loop smoke: the fast/reference equivalence battery plus the hotloop
-# throughput bench in --quick mode (the bench exits non-zero if the
-# calendar and heap queue backends ever produce different trace digests).
-hotloop:
-    cargo build --release -p ladder-bench --offline
-    cargo test -q --offline --test hotloop_equivalence
-    ./target/release/hotloop --quick --jobs 2
 
 # Open-loop tail-latency SLO sweep: offered load x arrival process x
 # scheme, per-tenant p50/p99/p999 report per cell (see EXPERIMENTS.md).

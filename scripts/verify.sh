@@ -54,18 +54,23 @@ cargo test -q -p ladder-bench --benches --offline
 echo "==> smoke: ladder-bench binaries (--quick --jobs 2)"
 for bin in fig2 fig4b fig11 fig15 main_eval lifetime variability tables \
            ablations crash mna_table extension faults interleave service \
-           lifetime_campaign hotloop; do
+           lifetime_campaign; do
     echo "  -> $bin"
     ./target/release/"$bin" --quick --jobs 2 >/dev/null
 done
 
 # Hot-loop gate: the fast/reference equivalence battery (SWAR kernels,
-# quantized table lookup, calendar queue — including the differential
-# full quick run on both queue backends) must pass, and the hotloop
-# bench itself exits non-zero if the two backends' trace digests ever
-# diverge (it already ran in the smoke loop above).
+# partial counters, shifting, quantized table lookup) must pass.
 echo "==> hotloop: fast-path vs reference-path equivalence battery"
 cargo test -q --offline --test hotloop_equivalence >/dev/null
+
+# Repository benchmark smoke: every perfbench workload must run once at
+# --quick scale with its stats fingerprint matching the committed one
+# ("correct": true, exit 0), and the harness's own unit tests must pass —
+# so a break in the public API perfbench calls fails this gate too.
+echo "==> perfbench smoke: --quick fingerprints + harness tests"
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --quick >/dev/null
+cargo test -q --offline --manifest-path perfbench/Cargo.toml >/dev/null
 
 # The --trace flag must produce valid-looking chrome://tracing JSON, and
 # the canonical --quick digests must match tests/golden/.

@@ -1,15 +1,13 @@
 //! The hot-loop equivalence battery: every fast path introduced by the
-//! performance overhaul (SWAR bit kernels, quantized timing-table lookup,
-//! calendar event queue) is proven bit-identical to its retained reference
-//! implementation — on arbitrary inputs via the offline proptest shim, and
-//! end-to-end via a differential full quick run on both queue backends.
+//! performance overhaul (SWAR bit kernels, partial counters, shifting,
+//! quantized timing-table lookup) is proven bit-identical to its retained
+//! reference implementation on arbitrary inputs via the offline proptest
+//! shim.
 //!
 //! See `DESIGN.md` §15 for the fast-path/reference-path discipline.
 
 use ladder::core::PartialCounters;
-use ladder::reram::{bits, EventQueue, Instant, QueueBackend};
-use ladder::sim::experiments::{ExperimentConfig, Workload};
-use ladder::sim::{run_sim, Scheme, SimConfig};
+use ladder::reram::bits;
 use ladder::xbar::{TableConfig, TimingTable};
 use proptest::prelude::*;
 
@@ -96,61 +94,6 @@ proptest! {
         );
     }
 
-    // ---- calendar queue ≡ heap on arbitrary schedules ----
-
-    #[test]
-    fn calendar_queue_pops_like_the_heap(
-        times in prop::collection::vec(0u64..5000, 1..200),
-        pop_every in 1usize..8,
-    ) {
-        let mut cal = EventQueue::with_backend(QueueBackend::Calendar);
-        let mut heap = EventQueue::with_backend(QueueBackend::Heap);
-        let mut popped = Vec::new();
-        // Interleave schedules and pops so the day cursor, bucket resizes
-        // and the FIFO tie-break (coarse times collide often) all engage.
-        for (i, &t) in times.iter().enumerate() {
-            let at = Instant::from_ps(t);
-            cal.schedule(at, i);
-            heap.schedule(at, i);
-            prop_assert_eq!(cal.len(), heap.len());
-            if i % pop_every == pop_every - 1 {
-                let (a, b) = (cal.pop(), heap.pop());
-                prop_assert_eq!(a, b);
-                popped.push(a);
-            }
-        }
-        // Drain the rest: what remains must come out in nondecreasing time
-        // order (interleaved pops above may legally precede later-scheduled
-        // earlier events, so monotonicity only holds within the drain).
-        let mut drained = Vec::new();
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            prop_assert_eq!(a, b);
-            match a {
-                Some(e) => drained.push(e),
-                None => break,
-            }
-        }
-        prop_assert_eq!(popped.len() + drained.len(), times.len());
-        for w in drained.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-        }
-    }
-
-    #[test]
-    fn calendar_queue_is_fifo_at_equal_times(
-        n in 1usize..64,
-        at in 0u64..1_000_000,
-    ) {
-        let mut q = EventQueue::with_backend(QueueBackend::Calendar);
-        for i in 0..n {
-            q.schedule(Instant::from_ps(at), i);
-        }
-        for i in 0..n {
-            prop_assert_eq!(q.pop(), Some((Instant::from_ps(at), i)));
-        }
-    }
-
     // ---- quantized table lookup ≡ legacy nested-division lookup ----
 
     #[test]
@@ -170,46 +113,4 @@ fn shared_table() -> &'static TimingTable {
     use std::sync::OnceLock;
     static TABLE: OnceLock<TimingTable> = OnceLock::new();
     TABLE.get_or_init(|| TimingTable::generate(&TableConfig::ladder_default()).expect("generate"))
-}
-
-/// Differential full quick run: the calendar-queue kernel must reproduce
-/// the heap-queue kernel bit-for-bit — same trace digest, same simulated
-/// end time, same event and write totals.
-#[test]
-fn full_quick_run_is_identical_on_both_queue_backends() {
-    let ecfg = ExperimentConfig::quick();
-    let tables = ecfg.tables();
-    for (scheme, bench) in [(Scheme::LadderEst, "astar"), (Scheme::Baseline, "mcf")] {
-        let run = |backend: QueueBackend| {
-            let cfg = SimConfig::builder()
-                .scheme(scheme)
-                .workload(Workload::Single(bench))
-                .queue(backend)
-                .trace(true)
-                .build();
-            run_sim(&cfg, &ecfg, &tables)
-        };
-        let cal = run(QueueBackend::Calendar);
-        let heap = run(QueueBackend::Heap);
-        let label = format!("{}/{bench}", scheme.name());
-        assert_eq!(cal.end, heap.end, "{label}: end time diverged");
-        assert_eq!(
-            cal.events.total(),
-            heap.events.total(),
-            "{label}: event counts diverged"
-        );
-        assert_eq!(
-            cal.mem.data_writes, heap.mem.data_writes,
-            "{label}: write counts diverged"
-        );
-        let (ct, ht) = (
-            cal.trace.as_ref().expect("trace requested"),
-            heap.trace.as_ref().expect("trace requested"),
-        );
-        assert_eq!(ct.records, ht.records, "{label}: record counts diverged");
-        assert_eq!(
-            ct.digest, ht.digest,
-            "{label}: trace digests diverged between queue backends"
-        );
-    }
 }
