@@ -90,33 +90,35 @@ pub fn estimate_vd(params: &CrossbarParams, op: &OperatingPoint) -> Vec<(usize, 
     let r_w = params.r_wire;
 
     // Worst-case far-end placement of the wordline LRS population
-    // (excluding the target columns themselves, which are fully selected).
-    let wl_lrs_cols: Vec<usize> = (0..cols)
-        .rev()
-        .filter(|c| !bls.contains(c))
-        .take(op.wl_ones.min(cols.saturating_sub(bls.len())))
-        .collect();
-    let wl_hrs_count = cols - bls.len() - wl_lrs_cols.len();
+    // (excluding the target columns themselves, which are fully selected):
+    // the `wl_lrs` highest non-target columns, starting at `wl_lo`.
+    let wl_lrs = op.wl_ones.min(cols - bls.len());
+    let wl_lo = far_end_start(cols, &bls, wl_lrs);
+    let wl_hrs_count = cols - bls.len() - wl_lrs;
     // Far-end placement of the bitline LRS population (excluding target row).
-    let bl_lrs_rows: Vec<usize> = (0..rows)
-        .rev()
-        .filter(|&r| r != op.target_wl)
-        .take(op.bl_ones.min(rows - 1))
-        .collect();
-    let bl_hrs_count = rows - 1 - bl_lrs_rows.len();
+    let w = op.target_wl;
+    let bl_lrs = op.bl_ones.min(rows - 1);
+    let bl_lo = far_end_start(rows, &[w], bl_lrs);
+    let bl_hrs_count = rows - 1 - bl_lrs;
 
-    // Aggregate wordline sneak: total current and per-target-position moment.
-    let wl_sneak_total = i_wl_lrs * wl_lrs_cols.len() as f64 + i_wl_hrs * wl_hrs_count as f64;
-    let wl_lrs_moment =
-        |b: usize| -> f64 { wl_lrs_cols.iter().map(|&c| c.min(b) as f64).sum::<f64>() };
-    // HRS cells contribute uniformly; approximate their positions as spread
-    // over the whole line (they are everywhere the LRS cells are not).
-    let wl_hrs_moment = |b: usize| -> f64 { wl_hrs_count as f64 * (b as f64) * 0.5 };
+    // Aggregate wordline sneak: total current and, per target position b,
+    // the LRS and HRS current moments. Neither depends on the fully-selected
+    // currents, so both are fixed before the iteration. HRS cells contribute
+    // uniformly; approximate their positions as spread over the whole line
+    // (they are everywhere the LRS cells are not).
+    let wl_sneak_total = i_wl_lrs * wl_lrs as f64 + i_wl_hrs * wl_hrs_count as f64;
+    let wl_sneak_moments: Vec<(f64, f64)> = bls
+        .iter()
+        .map(|&b| {
+            let lrs_moment = far_end_moment(wl_lo, cols, &bls, b) as f64;
+            let hrs_moment = wl_hrs_count as f64 * (b as f64) * 0.5;
+            (i_wl_lrs * lrs_moment, hrs_moment * i_wl_hrs)
+        })
+        .collect();
 
     // Bitline sneak per selected bitline.
-    let bl_sneak_total = i_half_lrs * bl_lrs_rows.len() as f64 + i_half_hrs * bl_hrs_count as f64;
-    let w = op.target_wl;
-    let bl_lrs_moment: f64 = bl_lrs_rows.iter().map(|&r| r.min(w) as f64).sum();
+    let bl_sneak_total = i_half_lrs * bl_lrs as f64 + i_half_hrs * bl_hrs_count as f64;
+    let bl_lrs_moment = far_end_moment(bl_lo, rows, &[w], w) as f64;
     let bl_hrs_moment: f64 = bl_hrs_count as f64 * (w as f64) * 0.5;
     let bl_drop_static = params.r_output * bl_sneak_total
         + r_w * (i_half_lrs * bl_lrs_moment + i_half_hrs * bl_hrs_moment);
@@ -127,7 +129,8 @@ pub fn estimate_vd(params: &CrossbarParams, op: &OperatingPoint) -> Vec<(usize, 
     let mut vd = vec![params.write_voltage; bls.len()];
     for _ in 0..FIXED_POINT_ITERS {
         let i_f_total: f64 = i_f.iter().sum();
-        for (k, &b) in bls.iter().enumerate() {
+        for (k, (&b, &(wl_lrs_term, wl_hrs_term))) in bls.iter().zip(&wl_sneak_moments).enumerate()
+        {
             // Wordline drop at column b: driver drop plus wire drop from all
             // currents sharing segments 0..b with the target.
             let full_moment: f64 = bls
@@ -136,7 +139,7 @@ pub fn estimate_vd(params: &CrossbarParams, op: &OperatingPoint) -> Vec<(usize, 
                 .map(|(&bk, &ik)| ik * bk.min(b) as f64)
                 .sum();
             let drop_wl = params.r_input * (i_f_total + wl_sneak_total)
-                + r_w * (full_moment + i_wl_lrs * wl_lrs_moment(b) + wl_hrs_moment(b) * i_wl_hrs);
+                + r_w * (full_moment + wl_lrs_term + wl_hrs_term);
             // Bitline drop at row w for this bitline's own current.
             let drop_bl = params.r_output * i_f[k] + r_w * i_f[k] * w as f64 + bl_drop_static;
             let new_vd = (params.write_voltage - drop_wl - drop_bl).max(0.05);
@@ -145,6 +148,30 @@ pub fn estimate_vd(params: &CrossbarParams, op: &OperatingPoint) -> Vec<(usize, 
         }
     }
     bls.into_iter().zip(vd).collect()
+}
+
+/// First position of the worst-case far-end run: the `n` highest positions
+/// in `0..len` not listed in `skip` (ascending) occupy `lo..len` minus
+/// `skip`. Requires `n + skip.len() <= len`.
+fn far_end_start(len: usize, skip: &[usize], n: usize) -> usize {
+    // Each skipped position inside the run pushes its start down by one;
+    // walking `skip` from the top sees every such position.
+    skip.iter()
+        .rev()
+        .fold(len - n, |lo, &t| if t >= lo { lo - 1 } else { lo })
+}
+
+/// `Σ min(i, at)` over the far-end run `lo..len` minus `skip`: the wire
+/// moment, seen from position `at`, of unit currents at those positions.
+/// Exact in integers, so converting the result to `f64` equals summing
+/// the terms in `f64` (every partial sum stays far below 2^53).
+fn far_end_moment(lo: usize, len: usize, skip: &[usize], at: usize) -> usize {
+    // Closed form of Σ_{i=lo}^{len-1} min(i, at): positions below `at`
+    // contribute themselves, the rest contribute `at`.
+    let mid = at.clamp(lo, len);
+    let run = (mid - lo) * (lo + mid).saturating_sub(1) / 2 + (len - mid) * at;
+    let skipped: usize = skip.iter().filter(|&&t| t >= lo).map(|&t| t.min(at)).sum();
+    run - skipped
 }
 
 #[cfg(test)]
@@ -232,6 +259,32 @@ mod tests {
         let vd = estimate_vd(&params, &op);
         for w in vd.windows(2) {
             assert!(w[1].1 <= w[0].1 + 1e-12, "farther columns cannot be faster");
+        }
+    }
+
+    #[test]
+    fn far_end_run_matches_its_definition() {
+        // The run is the `n` highest positions not in `skip`; its moment
+        // is Σ min(i, at) over them. Check both against the literal
+        // filter-and-sum on every small case.
+        for len in 1..=10usize {
+            for mask in 0u32..(1 << len) {
+                let skip: Vec<usize> = (0..len).filter(|&i| mask >> i & 1 == 1).collect();
+                for n in 0..=len - skip.len() {
+                    let run: Vec<usize> = (0..len)
+                        .rev()
+                        .filter(|i| !skip.contains(i))
+                        .take(n)
+                        .collect();
+                    let lo = far_end_start(len, &skip, n);
+                    let expect_lo = run.last().copied().unwrap_or(len);
+                    assert_eq!(lo, expect_lo, "len={len} skip={skip:?} n={n}");
+                    for at in 0..=len {
+                        let expect: usize = run.iter().map(|&i| i.min(at)).sum();
+                        assert_eq!(far_end_moment(lo, len, &skip, at), expect);
+                    }
+                }
+            }
         }
     }
 
