@@ -530,13 +530,15 @@ impl Tables {
 ///
 /// # Panics
 ///
-/// Panics if table generation fails (the analytic source is infallible).
+/// Panics if table generation fails. With the analytic source that happens
+/// only when `cfg.law` puts an entry above `u32::MAX` ps
+/// ([`ladder_xbar::MnaError::LatencyOverflow`]).
 pub fn standard_tables(cfg: &TableConfig) -> Tables {
-    // lint: allow(panic-policy) — invariant: the analytic table source is infallible, documented under # Panics
+    // lint: allow(panic-policy) — invariant: the analytic source fails only on an overflowing law, documented under # Panics
     let ladder = TimingTable::generate(cfg).expect("wordline table");
     let mut blp_cfg = cfg.clone();
     blp_cfg.content_axis = ContentAxis::Bitline;
-    // lint: allow(panic-policy) — invariant: the analytic table source is infallible, documented under # Panics
+    // lint: allow(panic-policy) — invariant: the analytic source fails only on an overflowing law, documented under # Panics
     let blp = TimingTable::generate(&blp_cfg).expect("bitline table");
     Tables { ladder, blp }
 }

@@ -44,6 +44,6 @@ pub use params::CrossbarParams;
 pub use pattern::{BitGrid, PatternSpec};
 pub use solve::{csr, dense, tridiag};
 pub use table::{
-    calibrate_device_law, latency_vs_wl_content, worst_latency_for_selected, ContentAxis,
+    calibrate_device_law, latency_vs_wl_content, worst_latency_for_selected, ContentAxis, RomError,
     TableConfig, TableSource, TimingTable,
 };

@@ -88,6 +88,11 @@ pub enum MnaError {
     },
     /// The dense factorization hit a singular pivot.
     Singular,
+    /// A timing-table latency does not fit a `u32` picosecond entry.
+    LatencyOverflow {
+        /// The latency that overflowed, in picoseconds.
+        ps: u64,
+    },
 }
 
 impl fmt::Display for MnaError {
@@ -101,6 +106,9 @@ impl fmt::Display for MnaError {
                 write!(f, "solver did not converge (residual {residual:.3e} V)")
             }
             MnaError::Singular => write!(f, "singular conductance matrix"),
+            MnaError::LatencyOverflow { ps } => {
+                write!(f, "latency {ps} ps exceeds a u32 timing-table entry")
+            }
         }
     }
 }

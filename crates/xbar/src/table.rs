@@ -16,6 +16,8 @@ use crate::latency::LatencyLaw;
 use crate::mna::{solve_reset, MnaError, ResetOp, SolverKind};
 use crate::params::CrossbarParams;
 use crate::pattern::PatternSpec;
+use std::error::Error;
+use std::fmt;
 
 /// Which line's LRS population forms the content dimension of the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -108,6 +110,44 @@ pub fn calibrate_device_law(params: &CrossbarParams, t_fast_ns: f64, t_slow_ns: 
     LatencyLaw::calibrate(v_fast, t_fast_ns, v_slow, t_slow_ns)
 }
 
+/// Why [`TimingTable::from_rom_bytes`] rejected a ROM image.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RomError {
+    /// A table needs at least one band per dimension.
+    ZeroBands,
+    /// The image is not `bands³` bytes long.
+    Length {
+        /// Bands per dimension the caller asked for.
+        bands: usize,
+        /// Length of the image, in bytes.
+        found: usize,
+    },
+    /// A byte times the ROM scale does not fit a `u32` picosecond entry.
+    Overflow {
+        /// The ROM byte.
+        byte: u8,
+        /// Picoseconds per ROM step.
+        scale_ps: u64,
+    },
+}
+
+impl fmt::Display for RomError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RomError::ZeroBands => write!(f, "ROM image needs at least one band"),
+            RomError::Length { bands, found } => {
+                write!(f, "ROM image of {found} bytes is not {bands}³ entries")
+            }
+            RomError::Overflow { byte, scale_ps } => write!(
+                f,
+                "ROM entry {byte} at {scale_ps} ps per step exceeds a u32 picosecond entry"
+            ),
+        }
+    }
+}
+
+impl Error for RomError {}
+
 /// Quantized write timing table.
 ///
 /// # Examples
@@ -145,8 +185,9 @@ impl TimingTable {
     ///
     /// # Errors
     ///
-    /// Propagates [`MnaError`] when the MNA source fails to converge; the
-    /// analytic source is infallible.
+    /// Propagates [`MnaError`] when the MNA source fails to converge, and
+    /// returns [`MnaError::LatencyOverflow`] when an entry's latency under
+    /// `cfg.law` exceeds `u32::MAX` ps (about 4.29 ms) for either source.
     ///
     /// # Panics
     ///
@@ -222,9 +263,9 @@ impl TimingTable {
                 })
             }
         };
-        let vds = vds?;
-        for (slot, vd) in entries.iter_mut().zip(&vds) {
-            *slot = cfg.law.latency_ps(*vd) as u32;
+        for (slot, vd) in entries.iter_mut().zip(vds?) {
+            let ps = cfg.law.latency_ps(vd);
+            *slot = u32::try_from(ps).map_err(|_| MnaError::LatencyOverflow { ps })?;
         }
         Ok(Self::assemble(
             bands,
@@ -399,9 +440,12 @@ impl TimingTable {
     /// [`TimingTable::to_rom_bytes`]. Latencies are recovered at ROM
     /// precision (conservatively rounded up).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the image length is not `bands³` for the given geometry.
+    /// Returns [`RomError::ZeroBands`] for `bands == 0`,
+    /// [`RomError::Length`] if the image is not `bands³` bytes, and
+    /// [`RomError::Overflow`] if a byte times `scale_ps` exceeds a `u32`
+    /// picosecond entry.
     pub fn from_rom_bytes(
         bytes: &[u8],
         bands: usize,
@@ -410,23 +454,33 @@ impl TimingTable {
         content_axis: ContentAxis,
         law: LatencyLaw,
         scale_ps: u64,
-    ) -> Self {
-        assert_eq!(
-            bytes.len(),
-            bands * bands * bands,
-            "ROM image size mismatch"
-        );
-        Self::assemble(
+    ) -> Result<Self, RomError> {
+        if bands == 0 {
+            return Err(RomError::ZeroBands);
+        }
+        if bands.checked_pow(3) != Some(bytes.len()) {
+            return Err(RomError::Length {
+                bands,
+                found: bytes.len(),
+            });
+        }
+        let entries = bytes
+            .iter()
+            .map(|&byte| {
+                (byte as u64)
+                    .checked_mul(scale_ps)
+                    .and_then(|ps| u32::try_from(ps).ok())
+                    .ok_or(RomError::Overflow { byte, scale_ps })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Self::assemble(
             bands,
             rows,
             cols,
             content_axis,
             law,
-            bytes
-                .iter()
-                .map(|&b| (b as u64 * scale_ps) as u32)
-                .collect(),
-        )
+            entries,
+        ))
     }
 
     /// Compresses the table's dynamic range by `factor`, keeping the best
@@ -547,18 +601,25 @@ mod tests {
 
     #[test]
     fn table_is_monotone_in_every_dimension() {
-        let t = default_table();
-        for c in 0..8 {
-            for w in 0..8 {
-                for b in 0..8 {
-                    if c + 1 < 8 {
-                        assert!(t.entry(c + 1, w, b) >= t.entry(c, w, b));
-                    }
-                    if w + 1 < 8 {
-                        assert!(t.entry(c, w + 1, b) >= t.entry(c, w, b));
-                    }
-                    if b + 1 < 8 {
-                        assert!(t.entry(c, w, b + 1) >= t.entry(c, w, b));
+        // Both content axes: LADDER's wordline table and BLP's bitline one.
+        let mut cfg = TableConfig::ladder_default();
+        for axis in [ContentAxis::Wordline, ContentAxis::Bitline] {
+            cfg.content_axis = axis;
+            let t = TimingTable::generate(&cfg).expect("generate");
+            for c in 0..8 {
+                for w in 0..8 {
+                    for b in 0..8 {
+                        let e = t.entry(c, w, b);
+                        let at = format!("{axis:?} ({c},{w},{b})");
+                        if c + 1 < 8 {
+                            assert!(t.entry(c + 1, w, b) >= e, "content, {at}");
+                        }
+                        if w + 1 < 8 {
+                            assert!(t.entry(c, w + 1, b) >= e, "wordline, {at}");
+                        }
+                        if b + 1 < 8 {
+                            assert!(t.entry(c, w, b + 1) >= e, "bitline, {at}");
+                        }
                     }
                 }
             }
@@ -657,7 +718,8 @@ mod tests {
             ContentAxis::Wordline,
             t.law(),
             t.rom_scale_ps(),
-        );
+        )
+        .expect("rom image");
         let shrunk = t.shrink_dynamic_range(2.0);
         for view in [&back, &shrunk] {
             for wl in (0..512).step_by(31) {
@@ -686,7 +748,8 @@ mod tests {
             ContentAxis::Wordline,
             t.law(),
             t.rom_scale_ps(),
-        );
+        )
+        .expect("rom image");
         for c in 0..8 {
             for w in 0..8 {
                 for b in 0..8 {
@@ -697,6 +760,64 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn latency_above_u32_ps_is_an_error_not_a_wrap() {
+        // 1e9 ns is far above u32::MAX ps (~4.29 ms): the entry must be
+        // rejected, never truncated into a small, too-fast latency.
+        let mut cfg = TableConfig::ladder_default();
+        cfg.law = LatencyLaw {
+            c_ns: 1e9,
+            k_per_volt: 0.1,
+        };
+        match TimingTable::generate(&cfg) {
+            Err(MnaError::LatencyOverflow { ps }) => assert!(ps > u32::MAX as u64),
+            other => panic!("expected LatencyOverflow, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rom_images_are_validated() {
+        let law = TableConfig::ladder_default().law;
+        let rom = |bytes: &[u8], bands, scale_ps| {
+            TimingTable::from_rom_bytes(bytes, bands, 8, 8, ContentAxis::Wordline, law, scale_ps)
+        };
+        // Wrong length, including one a huge band count would overflow.
+        assert_eq!(
+            rom(&[1; 7], 2, 1000),
+            Err(RomError::Length { bands: 2, found: 7 })
+        );
+        assert_eq!(
+            rom(&[1; 8], usize::MAX, 1000),
+            Err(RomError::Length {
+                bands: usize::MAX,
+                found: 8
+            })
+        );
+        // Zero bands would underflow the content-band LUT.
+        assert_eq!(rom(&[], 0, 1000), Err(RomError::ZeroBands));
+        // A scale that overflows u32 picoseconds (and one that overflows u64).
+        let big = u32::MAX as u64 / 255 + 1;
+        assert_eq!(
+            rom(&[0, 0, 0, 0, 0, 0, 0, 255], 2, big),
+            Err(RomError::Overflow {
+                byte: 255,
+                scale_ps: big
+            })
+        );
+        assert_eq!(
+            rom(&[2; 8], 2, u64::MAX),
+            Err(RomError::Overflow {
+                byte: 2,
+                scale_ps: u64::MAX
+            })
+        );
+        // The largest representable scale still loads, and a zero byte
+        // never overflows.
+        let t = rom(&[0, 0, 0, 0, 0, 0, 0, 255], 2, big - 1).expect("fits");
+        assert_eq!(t.worst_ps(), 255 * (big - 1));
+        assert!(rom(&[0; 8], 2, u64::MAX).is_ok());
     }
 
     #[test]

@@ -10,8 +10,11 @@ build:
 test:
     cargo test -q --workspace --offline
 
+# Lints the workspace, then perfbench/, which is its own workspace.
 clippy:
     cargo clippy --workspace --all-targets --offline -- -D warnings
+    cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+    cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # Project-invariant static analysis: per-file rules (determinism,
 # accounting safety, panic policy, bench-binary conformance) plus the

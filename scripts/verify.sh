@@ -7,6 +7,8 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+# perfbench/ has its own [workspace], which `--all` does not reach.
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 
 echo "==> cargo build --release"
 cargo build --release --workspace --offline
@@ -16,6 +18,7 @@ cargo test -q --workspace --offline
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # Project-invariant gate: per-file rules (determinism / accounting /
 # panic-policy / bench-conformance) plus the cross-crate semantic pass

@@ -6,7 +6,7 @@ use ladder::core::{
     LrsCounterGroup, PartialCounters,
 };
 use ladder::reram::{AddressMap, Decoded, Geometry, LineAddr};
-use ladder::xbar::{CrossbarParams, LatencyLaw, TableConfig, TimingTable};
+use ladder::xbar::{analytic, CrossbarParams, LatencyLaw, TableConfig, TimingTable};
 use proptest::prelude::*;
 
 fn arb_line() -> impl Strategy<Value = [u8; 64]> {
@@ -124,6 +124,51 @@ proptest! {
         let law = LatencyLaw::calibrate(2.9, 29.0, 1.0, 658.0);
         let (lo, hi) = if v1 < v2 { (v1, v2) } else { (v2, v1) };
         prop_assert!(law.latency_ns(hi) <= law.latency_ns(lo));
+    }
+}
+
+/// Lowest estimated voltage across an 8-cell RESET on a 512×512 mat whose
+/// target window ends at column `last`.
+fn min_window_vd(wl: usize, last: usize, wl_ones: usize, bl_ones: usize) -> f64 {
+    let op = analytic::OperatingPoint {
+        target_wl: wl,
+        target_bls: (last - 7..=last).collect(),
+        wl_ones,
+        bl_ones,
+    };
+    analytic::estimate_vd(&CrossbarParams::default(), &op)
+        .iter()
+        .map(|&(_, v)| v)
+        .fold(f64::INFINITY, f64::min)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    // Metamorphic line-resistance law (LADDER Figs. 4b and 11; Chen &
+    // Dolecek's 1S1R channel models): moving the write one wordline or one
+    // column farther from the drivers, or adding one LRS half-selected cell
+    // on either line, never makes the target cells easier to write.
+    #[test]
+    fn estimated_vd_never_rises_with_distance_or_lrs_content(
+        wl in 0usize..512,
+        last in 7usize..512,
+        wl_ones in 0usize..=512,
+        bl_ones in 0usize..=512,
+    ) {
+        let vd = min_window_vd(wl, last, wl_ones, bl_ones);
+        if wl + 1 < 512 {
+            prop_assert!(min_window_vd(wl + 1, last, wl_ones, bl_ones) <= vd, "farther wordline");
+        }
+        if last + 1 < 512 {
+            prop_assert!(min_window_vd(wl, last + 1, wl_ones, bl_ones) <= vd, "farther window");
+        }
+        if wl_ones < 512 {
+            prop_assert!(min_window_vd(wl, last, wl_ones + 1, bl_ones) <= vd, "more wordline LRS");
+        }
+        if bl_ones < 512 {
+            prop_assert!(min_window_vd(wl, last, wl_ones, bl_ones + 1) <= vd, "more bitline LRS");
+        }
     }
 }
 
