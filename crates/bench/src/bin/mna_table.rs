@@ -1,10 +1,12 @@
-//! Validates the analytic timing tables against the exact MNA solver at
-//! full crossbar size: generates a coarse (4×4×4) table with both sources
-//! and reports per-entry ratios. The analytic source must be conservative
-//! (never faster than MNA) without being uselessly pessimistic.
+//! Compares the analytic timing tables with the exact MNA solver at full
+//! crossbar size: generates a coarse (4×4×4) table with both sources and
+//! reports per-entry ratios, and whether the analytic source is
+//! conservative (never faster than MNA). The gap between the two is a
+//! known divergence (DESIGN.md §9), so this is a comparison, not a
+//! validation.
 //!
-//! This is the expensive end-to-end check of DESIGN.md §2's substitution
-//! argument; expect ~0.5–2 minutes of solver time.
+//! This is the expensive end-to-end comparison behind DESIGN.md §2's
+//! substitution argument; expect ~0.5–2 minutes of solver time.
 
 use ladder_bench::BenchArgs;
 use ladder_sim::experiments::ExperimentConfig;
@@ -17,7 +19,7 @@ fn main() {
     let args = BenchArgs::parse();
     let mut cfg = TableConfig::ladder_default();
     // `--quick` drops to a 2x2x2 table (8 exact solves) for CI smoke runs;
-    // the full validation uses 4x4x4.
+    // the full comparison uses 4x4x4.
     let bands = if args.quick { 2 } else { 4 };
     cfg.bands = bands;
     eprintln!("generating {bands}x{bands}x{bands} analytic table ...");

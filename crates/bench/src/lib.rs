@@ -48,7 +48,7 @@ pub const USAGE: &str = "usage: [--quick] [--instructions N] [--seed S] [--jobs 
                     write chrome://tracing JSON to PATH (summary on stderr)
   --arrival A       open-loop arrival process: poisson | bursty
                     (service only; default: sweep both)
-  --zipf T          Zipfian key skew in (0,1), 0 = uniform (service only)
+  --zipf T          Zipfian key skew in [0,1), 0 = uniform (service only)
   --tenants N       tenant count in the service mix (service only)
   --load L1,L2,..   offered loads in requests/us to sweep (service only)
 
@@ -110,8 +110,8 @@ impl BenchArgs {
     /// # Errors
     ///
     /// Returns a message naming the offending argument on an unknown
-    /// flag, a duplicate flag, a flag missing its value, or an
-    /// unparsable value.
+    /// flag, a duplicate flag, a flag missing its value, an unparsable
+    /// value, or a `--zipf`, `--tenants` or `--load` value out of range.
     pub fn parse_from(argv: &[String]) -> Result<BenchArgs, String> {
         let mut quick = false;
         let mut instructions: Option<u64> = None;
@@ -169,11 +169,20 @@ impl BenchArgs {
                     i += 2;
                 }
                 "--zipf" => {
-                    set_once(&mut zipf, flag_value(argv, i)?, "--zipf")?;
+                    let theta: f64 = flag_value(argv, i)?;
+                    // NaN is outside every range, so it is rejected too.
+                    if !(0.0..1.0).contains(&theta) {
+                        return Err(format!("`--zipf` value `{theta}` is not in [0, 1)"));
+                    }
+                    set_once(&mut zipf, theta, "--zipf")?;
                     i += 2;
                 }
                 "--tenants" => {
-                    set_once(&mut tenants, flag_value(argv, i)?, "--tenants")?;
+                    let n: usize = flag_value(argv, i)?;
+                    if n == 0 {
+                        return Err("`--tenants` must be at least 1".to_string());
+                    }
+                    set_once(&mut tenants, n, "--tenants")?;
                     i += 2;
                 }
                 "--load" => {
@@ -464,6 +473,19 @@ mod tests {
         let err = parse(&["--arrival", "diagonal"]).unwrap_err();
         assert!(err.contains("--arrival"), "{err}");
         assert_eq!(parse(&["--load", " 4.0 "]).unwrap().load, vec![4.0]);
+    }
+
+    #[test]
+    fn zipf_and_tenants_reject_out_of_range_values() {
+        for bad in ["1.5", "1", "nan", "-0.5", "inf"] {
+            let err = parse(&["--zipf", bad]).unwrap_err();
+            assert!(err.contains("--zipf"), "{bad}: {err}");
+        }
+        let err = parse(&["--tenants", "0"]).unwrap_err();
+        assert!(err.contains("--tenants"), "{err}");
+        assert_eq!(parse(&["--zipf", "0"]).unwrap().zipf, Some(0.0));
+        assert_eq!(parse(&["--zipf", "0.99"]).unwrap().zipf, Some(0.99));
+        assert_eq!(parse(&["--tenants", "1"]).unwrap().tenants, Some(1));
     }
 
     #[test]

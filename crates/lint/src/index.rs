@@ -5,9 +5,8 @@
 //! struct folded anywhere — so this module walks every file's token
 //! stream once and records just enough structure for those questions:
 //! functions (with a normalized signature, module path and surrounding
-//! `impl`), structs with their typed fields, enums with their variants,
-//! `impl Trait for Type` headers, and the set of identifiers each file
-//! mentions. It is *not* a parser: it recognizes item heads by keyword
+//! `impl`), structs with their typed fields, `impl Trait for Type`
+//! headers, and the set of identifiers each file mentions. It is *not* a parser: it recognizes item heads by keyword
 //! and matches braces, which is sound for the workspace's rustfmt'd,
 //! compiling code and keeps the analyzer dependency-free (no `syn`).
 //!
@@ -64,19 +63,6 @@ pub struct StructItem {
     pub fields: Vec<(String, String)>,
 }
 
-/// One indexed `enum`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnumItem {
-    /// Workspace-relative path of the defining file.
-    pub file: String,
-    /// 1-based line of the enum's name token.
-    pub line: usize,
-    /// The enum's name.
-    pub name: String,
-    /// Variant names with their `(line, col)`.
-    pub variants: Vec<(String, usize, usize)>,
-}
-
 /// One indexed `impl` header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImplItem {
@@ -98,8 +84,6 @@ pub struct SymbolIndex {
     pub fns: Vec<FnItem>,
     /// Every non-test `struct`, in (file, position) order.
     pub structs: Vec<StructItem>,
-    /// Every non-test `enum`, in (file, position) order.
-    pub enums: Vec<EnumItem>,
     /// Every non-test `impl` header, in (file, position) order.
     pub impls: Vec<ImplItem>,
     /// All identifiers each file mentions anywhere (including test spans —
@@ -186,7 +170,7 @@ impl Walker<'_> {
                 Some("impl") => i = self.scan_impl(i, end, mods),
                 Some("fn") => i = self.scan_fn(i, end, mods, imp),
                 Some("struct") => i = self.scan_struct(i, end),
-                Some("enum") => i = self.scan_enum(i, end),
+                Some("enum") => i = self.skip_enum(i, end),
                 _ => i += 1,
             }
         }
@@ -475,14 +459,9 @@ impl Walker<'_> {
         }
     }
 
-    /// `enum Name<G> { Variant, Variant(..), Variant { .. } }`.
-    fn scan_enum(&mut self, i: usize, end: usize) -> usize {
-        let Some(name_tok) = self.tokens.get(i + 1) else {
-            return i + 1;
-        };
-        let Some(name) = name_tok.ident() else {
-            return i + 1;
-        };
+    /// `enum Name<G> { .. }`: no rule reads variants, so the body is
+    /// skipped whole (struct-variant fields are not struct fields).
+    fn skip_enum(&self, i: usize, end: usize) -> usize {
         let mut j = i + 2;
         if self.tokens.get(j).is_some_and(|t| t.is_punct('<')) {
             j = self.skip_angles(j, end);
@@ -490,43 +469,7 @@ impl Walker<'_> {
         let Some(open) = self.find_block_open(j, end) else {
             return j;
         };
-        let close = crate::rules::brace_match(self.tokens, open).unwrap_or(end - 1);
-        let mut variants = Vec::new();
-        let mut k = open + 1;
-        while k < close {
-            let t = &self.tokens[k];
-            if t.is_punct('#') && self.tokens.get(k + 1).is_some_and(|t| t.is_punct('[')) {
-                k = crate::rules::skip_attr(self.tokens, k);
-                continue;
-            }
-            if let Some(v) = t.ident() {
-                variants.push((v.to_string(), t.line, t.col));
-                // Skip the variant's payload / discriminant to its comma.
-                let mut depth = 0i32;
-                while k < close {
-                    let t = &self.tokens[k];
-                    if t.is_punct(',') && depth == 0 {
-                        break;
-                    }
-                    if t.is_punct('(') || t.is_punct('{') || t.is_punct('[') {
-                        depth += 1;
-                    } else if t.is_punct(')') || t.is_punct('}') || t.is_punct(']') {
-                        depth -= 1;
-                    }
-                    k += 1;
-                }
-            }
-            k += 1;
-        }
-        if !self.in_test(name_tok.line) {
-            self.index.enums.push(EnumItem {
-                file: self.file.to_string(),
-                line: name_tok.line,
-                name: name.to_string(),
-                variants,
-            });
-        }
-        close + 1
+        crate::rules::brace_match(self.tokens, open).unwrap_or(end - 1) + 1
     }
 
     /// First `{` at or after `i` (for `mod`/`enum` heads that may carry
@@ -673,18 +616,15 @@ mod tests {
     }
 
     #[test]
-    fn indexes_enum_variants_and_skips_payloads() {
+    fn enum_bodies_are_skipped() {
         let idx = SymbolIndex::from_units(&[unit(
             "crates/x/src/lib.rs",
-            "pub enum QueueBackend {\n    Calendar,\n    Heap,\n}\n\
-             pub enum E {\n    A(u64, String),\n    B { x: u64 },\n}\n",
+            "pub enum E {\n    A = { fn inner() -> isize { 1 } inner() },\n    B,\n}\n\
+             pub enum F<T> {\n    C(T, String),\n    D { x: u64 },\n}\npub fn after() {}\n",
         )]);
-        let q = &idx.enums[0];
-        let names: Vec<&str> = q.variants.iter().map(|v| v.0.as_str()).collect();
-        assert_eq!(names, vec!["Calendar", "Heap"]);
-        let e = &idx.enums[1];
-        let names: Vec<&str> = e.variants.iter().map(|v| v.0.as_str()).collect();
-        assert_eq!(names, vec!["A", "B"]);
+        assert!(idx.structs.is_empty());
+        let names: Vec<&str> = idx.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["after"]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! End-to-end CLI contract: the documented exit codes (0 clean,
 //! 1 findings, 2 usage/IO error) and the machine-readable output modes.
-//! `scripts/verify.sh` and CI shell scripts branch on these codes, so
+//! `just lint` and CI shell scripts branch on these codes, so
 //! they are asserted here rather than left as documentation.
 
 use std::path::{Path, PathBuf};

@@ -1,10 +1,9 @@
 //! The live workspace must be lint-clean: zero findings across every
 //! source file and every rule — including the cross-crate semantic pass
 //! (fast/reference twins, Mergeable coverage, unit mixing, counter
-//! overflow policy, dead pragmas). This is the same gate
-//! `scripts/verify.sh` enforces via the CLI; running it as a test keeps
-//! `cargo test` sufficient to catch a violation without the full verify
-//! pipeline.
+//! overflow policy, dead pragmas). This test is the lint gate: the
+//! root manifest's default members put it in plain `cargo test`, which
+//! `scripts/verify.sh` runs.
 
 use std::path::Path;
 

@@ -12,11 +12,10 @@
 //!   what makes it lock-free). While recording it also folds every record
 //!   into a running [`TraceDigest`] and a [`TraceTotals`] aggregate, so
 //!   bounded ring capacity never loses accounting — only raw events.
-//! * **Merging & export** ([`Mergeable`], [`MetricsRegistry`],
-//!   [`chrome_trace_json`], [`time_attribution`]) — per-worker results fold
-//!   deterministically at any `--jobs`, and an assembled [`Trace`] renders
-//!   to chrome://tracing JSON or a per-phase write-latency attribution
-//!   summary.
+//! * **Merging & export** ([`Mergeable`], [`chrome_trace_json`],
+//!   [`time_attribution`]) — per-worker results fold deterministically at
+//!   any `--jobs`, and an assembled [`Trace`] renders to chrome://tracing
+//!   JSON or a per-phase write-latency attribution summary.
 //!
 //! # Examples
 //!
@@ -48,7 +47,7 @@ mod slo;
 
 pub use export::{chrome_trace_json, time_attribution};
 pub use histogram::LatencyHistogram;
-pub use metrics::{fold, Mergeable, MetricsRegistry, TraceTotals};
+pub use metrics::{fold, Mergeable, TraceTotals};
 pub use record::{DispatchKind, PulseKind, ReadClass, TraceEvent, TraceRecord, C_LRS_UNTRACKED};
 pub use recorder::{merge_digests, Trace, TraceDigest, TracePart, TraceRecorder};
 pub use slo::{qos_name, SloReport, SloRow, TenantGroup, TenantLatencies};

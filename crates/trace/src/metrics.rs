@@ -1,10 +1,9 @@
-//! The [`Mergeable`] trait, the [`MetricsRegistry`], and the
-//! [`TraceTotals`] aggregate a recorder maintains alongside its ring.
+//! The [`Mergeable`] trait and the [`TraceTotals`] aggregate a recorder
+//! maintains alongside its ring.
 
 use crate::histogram::LatencyHistogram;
 use crate::record::{DispatchKind, PulseKind, ReadClass, TraceRecord};
 use ladder_reram::Picos;
-use std::collections::BTreeMap;
 
 /// A value that folds with other values of its type.
 ///
@@ -53,87 +52,6 @@ impl Mergeable for Picos {
 impl Mergeable for LatencyHistogram {
     fn merge_from(&mut self, other: &Self) {
         self.merge(other);
-    }
-}
-
-/// A name-keyed registry of mergeable counters and latency histograms —
-/// the generic container ad-hoc stat structs migrate toward. Keys are
-/// ordered, so iteration (and therefore any export) is deterministic.
-///
-/// # Examples
-///
-/// ```
-/// use ladder_reram::Picos;
-/// use ladder_trace::{Mergeable, MetricsRegistry};
-///
-/// let mut a = MetricsRegistry::new();
-/// a.add("writes", 3);
-/// a.observe("read_latency", Picos::from_ns(35.0));
-/// let mut b = MetricsRegistry::new();
-/// b.add("writes", 4);
-/// a.merge_from(&b);
-/// assert_eq!(a.counter("writes"), 7);
-/// assert_eq!(a.histogram("read_latency").unwrap().count(), 1);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, LatencyHistogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `delta` to the named counter (created at zero on first use).
-    pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// The named counter's value (zero when never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Records one sample into the named histogram.
-    pub fn observe(&mut self, name: &str, sample: Picos) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(sample);
-    }
-
-    /// The named histogram, when any sample was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        self.histograms.get(name)
-    }
-
-    /// Iterates counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// Iterates histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LatencyHistogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Whether nothing was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-}
-
-impl Mergeable for MetricsRegistry {
-    fn merge_from(&mut self, other: &Self) {
-        for (k, &v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
     }
 }
 
@@ -295,47 +213,50 @@ impl TraceTotals {
         }
     }
 
-    /// Renders the totals as a generic [`MetricsRegistry`] (the exporters'
-    /// counter section).
-    pub fn to_registry(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        for k in DispatchKind::ALL {
-            let n = self.dispatch(k);
-            if n > 0 {
-                reg.add(&format!("dispatch.{}", k.name()), n);
+    /// The exporters' counter section: `(name, value)` pairs in name
+    /// order.
+    pub(crate) fn counters(&self) -> Vec<(String, u64)> {
+        let mut out: Vec<(String, u64)> = DispatchKind::ALL
+            .into_iter()
+            .map(|k| (format!("dispatch.{}", k.name()), self.dispatch(k)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        for (name, value) in [
+            ("pulses.data", self.data_pulses),
+            ("pulses.metadata", self.metadata_pulses),
+            ("reads.demand", self.demand_reads),
+            ("reads.smb", self.smb_reads),
+            ("reads.metadata", self.metadata_reads),
+            ("cache.hits", self.cache_hits),
+            ("cache.misses", self.cache_misses),
+            ("cache.writebacks", self.cache_writebacks),
+            ("pv.failed_verifies", self.failed_verifies),
+            ("pv.ecc_corrected_bits", self.ecc_corrected_bits),
+            ("pv.uncorrectable", self.uncorrectable),
+            ("time.queue_wait_ps", self.queue_wait.as_ps()),
+            ("time.pulse_ps", self.pulse_time.as_ps()),
+            ("time.retry_ps", self.retry_time.as_ps()),
+            ("time.service_ps", self.service_time.as_ps()),
+            ("time.metadata_pulse_ps", self.metadata_pulse_time.as_ps()),
+        ] {
+            out.push((name.to_string(), value));
+        }
+        // Shard stamps and coding/remap detail records exist only in
+        // sharded runs and non-default coding modes, so their counters
+        // appear only once such a record was seen (pinned in `export.rs`).
+        let tiered = self.tier_ecc > 0;
+        for (name, value, emit) in [
+            ("shard.tags", self.shard_tags, self.shard_tags > 0),
+            ("coding.tier_resolves", self.tier_ecc, tiered),
+            ("coding.tier_bits", self.tier_ecc_bits, tiered),
+            ("coding.remaps", self.pad_remaps, self.pad_remaps > 0),
+        ] {
+            if emit {
+                out.push((name.to_string(), value));
             }
         }
-        reg.add("pulses.data", self.data_pulses);
-        reg.add("pulses.metadata", self.metadata_pulses);
-        reg.add("reads.demand", self.demand_reads);
-        reg.add("reads.smb", self.smb_reads);
-        reg.add("reads.metadata", self.metadata_reads);
-        reg.add("cache.hits", self.cache_hits);
-        reg.add("cache.misses", self.cache_misses);
-        reg.add("cache.writebacks", self.cache_writebacks);
-        reg.add("pv.failed_verifies", self.failed_verifies);
-        reg.add("pv.ecc_corrected_bits", self.ecc_corrected_bits);
-        reg.add("pv.uncorrectable", self.uncorrectable);
-        reg.add("time.queue_wait_ps", self.queue_wait.as_ps());
-        reg.add("time.pulse_ps", self.pulse_time.as_ps());
-        reg.add("time.retry_ps", self.retry_time.as_ps());
-        reg.add("time.service_ps", self.service_time.as_ps());
-        reg.add("time.metadata_pulse_ps", self.metadata_pulse_time.as_ps());
-        // Only sharded runs carry identity stamps; keep the monolithic
-        // export byte-identical by omitting the zero counter.
-        if self.shard_tags > 0 {
-            reg.add("shard.tags", self.shard_tags);
-        }
-        // Coding/remap detail records only exist in non-default modes;
-        // omit the zero counters so legacy exports stay byte-identical.
-        if self.tier_ecc > 0 {
-            reg.add("coding.tier_resolves", self.tier_ecc);
-            reg.add("coding.tier_bits", self.tier_ecc_bits);
-        }
-        if self.pad_remaps > 0 {
-            reg.add("coding.remaps", self.pad_remaps);
-        }
-        reg
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out
     }
 }
 
@@ -373,22 +294,6 @@ impl Mergeable for TraceTotals {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_merge_adds_counters_and_histograms() {
-        let mut a = MetricsRegistry::new();
-        a.add("x", 1);
-        a.observe("h", Picos::from_ps(100));
-        let mut b = MetricsRegistry::new();
-        b.add("x", 2);
-        b.add("y", 5);
-        b.observe("h", Picos::from_ps(200));
-        a.merge_from(&b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.counter("y"), 5);
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
-        assert_eq!(a.counter("missing"), 0);
-    }
 
     #[test]
     fn fold_helper_equals_manual_accumulation() {

@@ -8,12 +8,12 @@
 //! voltage, and all other lines are held at the bias voltage (V/2 scheme).
 //!
 //! The selector non-linearity makes cell conductance voltage-dependent; the
-//! solver wraps any of three interchangeable linear solvers in a fixed-point
+//! solver wraps either of two interchangeable linear solvers in a fixed-point
 //! loop that re-evaluates conductances until node voltages settle.
 
 use crate::params::CrossbarParams;
 use crate::pattern::BitGrid;
-use crate::solve::{csr, dense, tridiag};
+use crate::solve::{dense, tridiag};
 use std::error::Error;
 use std::fmt;
 
@@ -25,8 +25,6 @@ const OUTER_MAX_ITER: usize = 25;
 const LINE_TOL_V: f64 = 1e-7;
 /// Maximum line-relaxation sweeps per linear solve.
 const LINE_MAX_SWEEPS: usize = 4000;
-/// Relative tolerance for the conjugate-gradient solver.
-const CG_REL_TOL: f64 = 1e-10;
 
 /// One RESET operation: which wordline is grounded and which bitlines are
 /// driven at the write voltage.
@@ -63,8 +61,6 @@ impl ResetOp {
 pub enum SolverKind {
     /// Dense LU with partial pivoting — `O(n³)`, for small mats and tests.
     DenseLu,
-    /// Jacobi-preconditioned conjugate gradient on a CSR matrix.
-    ConjugateGradient,
     /// Block Gauss–Seidel with exact tridiagonal line solves (fastest).
     LineRelaxation,
 }
@@ -260,9 +256,6 @@ pub fn solve_reset(
                 solve_linear_relax(params, &drive, &gc, &v_top, &v_bottom)?
             }
             SolverKind::DenseLu => solve_linear_dense(params, &drive, &gc)?,
-            SolverKind::ConjugateGradient => {
-                solve_linear_cg(params, &drive, &gc, &v_top, &v_bottom)?
-            }
         };
         last_delta = max_abs_delta(&v_top, &new_top).max(max_abs_delta(&v_bottom, &new_bottom));
         v_top = new_top;
@@ -411,89 +404,36 @@ fn solve_linear_relax(
     })
 }
 
-/// Node numbering for the monolithic (dense/CSR) formulations: top nodes
-/// first (`r·cols + c`), then bottom nodes offset by `rows·cols`.
-fn assemble_csr(params: &CrossbarParams, drive: &Drive, gc: &[f64]) -> (csr::Csr, Vec<f64>) {
+/// Dense LU on the monolithic system. Node numbering: top nodes first
+/// (`r·cols + c`), then bottom nodes offset by `rows·cols`.
+fn solve_linear_dense(
+    params: &CrossbarParams,
+    drive: &Drive,
+    gc: &[f64],
+) -> Result<(Vec<f64>, Vec<f64>), MnaError> {
     let (rows, cols) = (params.rows, params.cols);
-    let n = 2 * rows * cols;
     let off = rows * cols;
+    let n = 2 * off;
     let gw = 1.0 / params.r_wire;
     let gin = 1.0 / params.r_input;
     let gout = 1.0 / params.r_output;
-    let mut b = csr::CsrBuilder::new(n);
+    let mut a = vec![0.0; n * n];
     let mut rhs = vec![0.0; n];
+    let mut add = |r: usize, c: usize, v: f64| a[r * n + c] += v;
     for r in 0..rows {
         for c in 0..cols {
             let t = r * cols + c;
             let bot = off + t;
             // Cell between the two layers.
             let g = gc[t];
-            b.add(t, t, g);
-            b.add(bot, bot, g);
-            b.add(t, bot, -g);
-            b.add(bot, t, -g);
-            // Wordline wire / driver.
-            if c == 0 {
-                b.add(t, t, gin);
-                rhs[t] += gin * drive.v_wl[r];
-            } else {
-                let left = r * cols + (c - 1);
-                b.add(t, t, gw);
-                b.add(left, left, gw);
-                b.add(t, left, -gw);
-                b.add(left, t, -gw);
-            }
-            // Bitline wire / driver.
-            if r == 0 {
-                b.add(bot, bot, gout);
-                rhs[bot] += gout * drive.v_bl[c];
-            } else {
-                let up = off + (r - 1) * cols + c;
-                b.add(bot, bot, gw);
-                b.add(up, up, gw);
-                b.add(bot, up, -gw);
-                b.add(up, bot, -gw);
-            }
-        }
-    }
-    (b.build(), rhs)
-}
-
-fn split_solution(params: &CrossbarParams, x: Vec<f64>) -> (Vec<f64>, Vec<f64>) {
-    let off = params.rows * params.cols;
-    let v_bottom = x[off..].to_vec();
-    let mut v_top = x;
-    v_top.truncate(off);
-    (v_top, v_bottom)
-}
-
-fn solve_linear_dense(
-    params: &CrossbarParams,
-    drive: &Drive,
-    gc: &[f64],
-) -> Result<(Vec<f64>, Vec<f64>), MnaError> {
-    let (a, rhs) = assemble_csr(params, drive, gc);
-    let n = a.n();
-    let mut dense_a = vec![0.0; n * n];
-    // Expand CSR to dense via matvecs against unit vectors would be O(n²·nnz);
-    // instead rebuild densely from the same stamps.
-    let (rows, cols) = (params.rows, params.cols);
-    let off = rows * cols;
-    let gw = 1.0 / params.r_wire;
-    let gin = 1.0 / params.r_input;
-    let gout = 1.0 / params.r_output;
-    let mut add = |r: usize, c: usize, v: f64| dense_a[r * n + c] += v;
-    for r in 0..rows {
-        for c in 0..cols {
-            let t = r * cols + c;
-            let bot = off + t;
-            let g = gc[t];
             add(t, t, g);
             add(bot, bot, g);
             add(t, bot, -g);
             add(bot, t, -g);
+            // Wordline wire / driver.
             if c == 0 {
                 add(t, t, gin);
+                rhs[t] += gin * drive.v_wl[r];
             } else {
                 let left = r * cols + (c - 1);
                 add(t, t, gw);
@@ -501,8 +441,10 @@ fn solve_linear_dense(
                 add(t, left, -gw);
                 add(left, t, -gw);
             }
+            // Bitline wire / driver.
             if r == 0 {
                 add(bot, bot, gout);
+                rhs[bot] += gout * drive.v_bl[c];
             } else {
                 let up = off + (r - 1) * cols + c;
                 add(bot, bot, gw);
@@ -512,26 +454,9 @@ fn solve_linear_dense(
             }
         }
     }
-    let x = dense::lu_solve(dense_a, rhs).map_err(|_| MnaError::Singular)?;
-    Ok(split_solution(params, x))
-}
-
-fn solve_linear_cg(
-    params: &CrossbarParams,
-    drive: &Drive,
-    gc: &[f64],
-    v_top0: &[f64],
-    v_bottom0: &[f64],
-) -> Result<(Vec<f64>, Vec<f64>), MnaError> {
-    let (a, rhs) = assemble_csr(params, drive, gc);
-    let mut x: Vec<f64> = v_top0.iter().chain(v_bottom0.iter()).copied().collect();
-    let stats = csr::cg_solve(&a, &rhs, &mut x, CG_REL_TOL, 50_000);
-    if !stats.converged {
-        return Err(MnaError::NoConvergence {
-            residual: stats.relative_residual,
-        });
-    }
-    Ok(split_solution(params, x))
+    let mut v_top = dense::lu_solve(a, rhs).map_err(|_| MnaError::Singular)?;
+    let v_bottom = v_top.split_off(off);
+    Ok((v_top, v_bottom))
 }
 
 /// Largest Kirchhoff current-law violation (amps) over all nodes, for a
@@ -613,14 +538,9 @@ mod tests {
         let op = ResetOp::new(3, vec![2, 6]);
         let a = solve_reset(&params, &grid, &op, SolverKind::DenseLu).expect("dense");
         let b = solve_reset(&params, &grid, &op, SolverKind::LineRelaxation).expect("relax");
-        let c = solve_reset(&params, &grid, &op, SolverKind::ConjugateGradient).expect("cg");
-        for ((&(ca, va), &(cb, vb)), &(cc, vc)) in
-            a.target_vd.iter().zip(&b.target_vd).zip(&c.target_vd)
-        {
+        for (&(ca, va), &(cb, vb)) in a.target_vd.iter().zip(&b.target_vd) {
             assert_eq!(ca, cb);
-            assert_eq!(ca, cc);
             assert!((va - vb).abs() < 1e-3, "dense {va} vs relax {vb}");
-            assert!((va - vc).abs() < 1e-3, "dense {va} vs cg {vc}");
         }
     }
 

@@ -5,9 +5,11 @@ use ladder::core::{
     apply_fnw, estimate_cw_lrs, exact_cw_lrs, shift_line, undo_fnw, unshift_line, FnwPolicy,
     LrsCounterGroup, PartialCounters,
 };
-use ladder::reram::{AddressMap, Decoded, Geometry, LineAddr};
+use ladder::reram::{AddressMap, Decoded, Geometry, Interleave, LineAddr, Topology};
+use ladder::sim::{ArrivalKind, CodingKind, RemapKind};
 use ladder::xbar::{analytic, CrossbarParams, LatencyLaw, TableConfig, TimingTable};
 use proptest::prelude::*;
+use std::fmt::{Debug, Display};
 
 fn arb_line() -> impl Strategy<Value = [u8; 64]> {
     prop::collection::vec(any::<u8>(), 64).prop_map(|v| {
@@ -200,4 +202,68 @@ fn timing_table_is_monotone_and_conservative_under_banding() {
     assert!(coarse >= fine);
     assert!(table.worst_ps() as f64 / 1000.0 <= 658.01);
     let _ = p;
+}
+
+/// Strings a CLI parser might see: `CxR` shapes with zero counts and
+/// spaced separators, runs of CLI fragments (valid names, an overflowing
+/// count, whitespace, a NUL, a multi-byte letter), and arbitrary `char`s.
+fn arb_cli_text() -> impl Strategy<Value = String> {
+    const PIECES: [&str; 10] = [
+        "x",
+        "-",
+        " \t",
+        "18446744073709551616",
+        "poisson",
+        "bank",
+        "pad-remap",
+        "lrc",
+        "\u{e9}",
+        "\u{0}",
+    ];
+    prop_oneof![
+        (0u64..20, 0usize..3, 0u64..20)
+            .prop_map(|(c, sep, r)| format!("{c}{}{r}", ["x", "X", " x "][sep])),
+        prop::collection::vec(0usize..PIECES.len(), 0..4)
+            .prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect()),
+        prop::collection::vec(0u32..0x11_0000, 0..6)
+            .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect()),
+    ]
+}
+
+/// `parse` must return rather than panic, and any value it accepts must
+/// survive `Display` → `parse` unchanged.
+fn check_parser<T: Display + PartialEq + Debug>(
+    parse: impl Fn(&str) -> Result<T, String>,
+    input: &str,
+) {
+    if let Ok(v) = parse(input) {
+        assert_eq!(parse(&v.to_string()), Ok(v), "accepted {input:?}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn cli_parsers_never_panic(input in arb_cli_text()) {
+        check_parser(Topology::parse, &input);
+        check_parser(Interleave::parse, &input);
+        check_parser(|s| s.parse::<ArrivalKind>(), &input);
+        check_parser(|s| s.parse::<RemapKind>(), &input);
+        check_parser(|s| s.parse::<CodingKind>(), &input);
+    }
+}
+
+#[test]
+fn every_cli_kind_round_trips_through_display() {
+    for k in Interleave::ALL {
+        assert_eq!(Interleave::parse(&k.to_string()), Ok(k));
+    }
+    for k in ArrivalKind::ALL {
+        assert_eq!(k.to_string().parse(), Ok(k));
+    }
+    for k in RemapKind::ALL {
+        assert_eq!(k.to_string().parse(), Ok(k));
+    }
+    for k in CodingKind::ALL {
+        assert_eq!(k.to_string().parse(), Ok(k));
+    }
 }
