@@ -3,7 +3,8 @@
 //! path must not allocate at all in steady state — neither driven
 //! standalone nor handing its wakes and read completions to an event
 //! queue the way the system kernel does — and a disabled
-//! [`TraceRecorder`] must never allocate. Run by `cargo test --benches`
+//! [`TraceRecorder`] must never allocate, nor may per-tenant latency
+//! recording for a registered tenant. Run by `cargo test --benches`
 //! (one checked iteration) and by `cargo bench` (measured).
 
 // The counting allocator must implement `GlobalAlloc`, which is an unsafe
@@ -14,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ladder_memctrl::{standard_tables, FixedWorstPolicy, MemCtrlConfig, MemoryController, ReqId};
 use ladder_reram::{AddressMap, EventQueue, Geometry, Instant, LineAddr, Picos};
-use ladder_trace::{DispatchKind, TraceRecord, TraceRecorder};
+use ladder_trace::{DispatchKind, TenantLatencies, TraceRecord, TraceRecorder};
 use ladder_xbar::{TableConfig, TimingTable};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -70,6 +71,35 @@ fn bench_disabled_recorder(c: &mut Criterion) {
                 "disabled TraceRecorder::record allocated"
             );
             black_box(rec.records())
+        })
+    });
+}
+
+/// Recording a read latency or a write for a tenant that `ensure`
+/// registered is a lookup and an add: it must not allocate (a service run
+/// records once per completed read and accepted write).
+fn bench_tenant_recording(c: &mut Criterion) {
+    const TENANTS: [&str; 3] = ["t0", "t1", "t2"];
+    c.bench_function("tenant_latency_recording_10k", |b| {
+        b.iter(|| {
+            let mut tenants = TenantLatencies::default();
+            for (i, name) in TENANTS.iter().enumerate() {
+                tenants.ensure(name, 1_000 * (i as u64 + 1), i as u64 + 1);
+            }
+            let before = allocations();
+            for i in 0..10_000u64 {
+                let name = TENANTS[(i % 3) as usize];
+                tenants.record_read(name, Picos::from_ps(1_000 + i * 37));
+                tenants.note_write(name);
+            }
+            let after = allocations();
+            assert_eq!(
+                after - before,
+                0,
+                "recording for a registered tenant allocated"
+            );
+            assert_eq!(tenants.total_reads(), 10_000);
+            black_box(tenants.total_writes())
         })
     });
 }
@@ -219,6 +249,7 @@ fn bench_write_hotpath_traced(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_disabled_recorder,
+    bench_tenant_recording,
     bench_write_hotpath_disabled,
     bench_kernel_handoff_disabled,
     bench_write_hotpath_traced

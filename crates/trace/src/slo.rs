@@ -90,16 +90,26 @@ impl TenantLatencies {
 
     /// Records one completed read's arrival→completion latency.
     pub fn record_read(&mut self, tenant: &str, latency: Picos) {
-        self.groups
-            .entry(tenant.to_string())
-            .or_default()
-            .reads
-            .record(latency);
+        self.update(tenant, |g| g.reads.record(latency));
     }
 
     /// Counts one accepted write.
     pub fn note_write(&mut self, tenant: &str) {
-        self.groups.entry(tenant.to_string()).or_default().writes += 1;
+        self.update(tenant, |g| g.writes += 1);
+    }
+
+    /// Folds `group` into `tenant`'s group (creating it when absent).
+    pub fn merge_group(&mut self, tenant: &str, group: &TenantGroup) {
+        self.update(tenant, |g| g.merge_from(group));
+    }
+
+    /// Applies `f` to `tenant`'s group, creating it when absent. A
+    /// registered tenant costs a lookup, never a key allocation.
+    fn update(&mut self, tenant: &str, f: impl FnOnce(&mut TenantGroup)) {
+        match self.groups.get_mut(tenant) {
+            Some(g) => f(g),
+            None => f(self.groups.entry(tenant.to_string()).or_default()),
+        }
     }
 
     /// One tenant's group, when present.
@@ -131,7 +141,7 @@ impl TenantLatencies {
 impl Mergeable for TenantLatencies {
     fn merge_from(&mut self, other: &Self) {
         for (k, g) in &other.groups {
-            self.groups.entry(k.clone()).or_default().merge_from(g);
+            self.merge_group(k, g);
         }
     }
 }
