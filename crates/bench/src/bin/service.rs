@@ -12,7 +12,7 @@
 //! independent stream per channel, folded bit-reproducibly at any
 //! `--jobs`).
 
-use ladder_bench::{report_runner, BenchArgs};
+use ladder_bench::{report_runner, usage_exit, BenchArgs};
 use ladder_reram::Instant;
 use ladder_sim::experiments::Workload;
 use ladder_sim::{run_sharded, run_sim, ArrivalKind, Scheme, ServiceConfig, SimConfig};
@@ -33,7 +33,9 @@ fn main() {
         Some(kind) => vec![kind],
         None => ArrivalKind::ALL.to_vec(),
     };
-    let tenants = args.tenants.unwrap_or(3);
+    // Reject a tenant count no run's page window can host before the
+    // sweep starts, rather than panicking inside the first run.
+    let tenants = args.service_tenants().unwrap_or_else(|e| usage_exit(&e));
     let zipf = args.zipf.unwrap_or(0.99);
     let requests: u64 = if args.quick { 4_000 } else { 50_000 };
 

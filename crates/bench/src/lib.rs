@@ -27,9 +27,11 @@
 //!
 //! Criterion micro-benchmarks for the hot kernels live under `benches/`.
 
+use ladder_reram::Geometry;
 use ladder_sim::experiments::{ExperimentConfig, Workload};
 use ladder_sim::{
-    run_sharded, run_sim, ArrivalKind, Interleave, Runner, Scheme, SimConfig, Topology,
+    run_sharded, run_sim, tenant_window, ArrivalKind, Interleave, Runner, Scheme, SimConfig,
+    Topology,
 };
 
 /// The flags every binary accepts, printed when parsing fails.
@@ -49,7 +51,8 @@ pub const USAGE: &str = "usage: [--quick] [--instructions N] [--seed S] [--jobs 
   --arrival A       open-loop arrival process: poisson | bursty
                     (service only; default: sweep both)
   --zipf T          Zipfian key skew in [0,1), 0 = uniform (service only)
-  --tenants N       tenant count in the service mix (service only)
+  --tenants N       tenant count in the service mix (service only; default 3,
+                    at most one tenant per page of each run's window)
   --load L1,L2,..   offered loads in requests/us to sweep (service only)
 
 Every flag may appear at most once; duplicates are rejected.";
@@ -225,6 +228,29 @@ impl BenchArgs {
         })
     }
 
+    /// The `service` sweep's tenant count: `--tenants`, or 3.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming `--tenants` when the count exceeds the
+    /// page window each run partitions among its tenants
+    /// ([`tenant_window`]): one shard's window under `--topology`, the
+    /// whole default module's otherwise.
+    pub fn service_tenants(&self) -> Result<usize, String> {
+        let tenants = self.tenants.unwrap_or(3);
+        let geometry = match self.topology {
+            Some(t) => t.shard_geometry(&Geometry::default()),
+            None => Geometry::default(),
+        };
+        let (_, span) = tenant_window(&geometry);
+        if tenants as u64 > span {
+            return Err(format!(
+                "`--tenants` value {tenants} exceeds the {span}-page window of each run"
+            ));
+        }
+        Ok(tenants)
+    }
+
     /// Builds the experiment [`Runner`]: `--jobs N` wins, then the
     /// `LADDER_JOBS` environment variable, then `available_parallelism()`.
     /// Parallel execution is byte-identical to `--jobs 1` — results always
@@ -354,7 +380,9 @@ fn cli_args() -> Vec<String> {
     std::env::args().skip(1).collect()
 }
 
-fn usage_exit(err: &str) -> ! {
+/// Prints `err` and [`USAGE`] to standard error and exits with status 2,
+/// the exit every binary gives a bad command line.
+pub fn usage_exit(err: &str) -> ! {
     eprintln!("error: {err}\n{USAGE}");
     std::process::exit(2)
 }
@@ -486,6 +514,29 @@ mod tests {
         assert_eq!(parse(&["--zipf", "0"]).unwrap().zipf, Some(0.0));
         assert_eq!(parse(&["--zipf", "0.99"]).unwrap().zipf, Some(0.99));
         assert_eq!(parse(&["--tenants", "1"]).unwrap().tenants, Some(1));
+    }
+
+    #[test]
+    fn service_tenants_must_fit_each_runs_page_window() {
+        assert_eq!(parse(&[]).unwrap().service_tenants(), Ok(3));
+        let (_, span) = tenant_window(&Geometry::default());
+        let fits = span.to_string();
+        assert_eq!(
+            parse(&["--tenants", &fits]).unwrap().service_tenants(),
+            Ok(span as usize)
+        );
+        let err = parse(&["--tenants", "100000000"])
+            .unwrap()
+            .service_tenants()
+            .unwrap_err();
+        assert!(err.contains("--tenants"), "{err}");
+        // Under a topology each shard's run gets a one-channel slice, so
+        // the whole module's window no longer fits.
+        let err = parse(&["--tenants", &fits, "--topology", "4x1"])
+            .unwrap()
+            .service_tenants()
+            .unwrap_err();
+        assert!(err.contains("--tenants"), "{err}");
     }
 
     #[test]

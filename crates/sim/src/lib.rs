@@ -26,7 +26,7 @@ pub mod wallclock;
 pub use config::{run_sim, SimConfig, SimConfigBuilder};
 pub use runner::{default_jobs, AloneIpcCache, Runner, RunnerStats};
 pub use scheme::Scheme;
-pub use service::{ArrivalKind, ServiceConfig, ServiceConfigBuilder, ServiceStats};
+pub use service::{tenant_window, ArrivalKind, ServiceConfig, ServiceConfigBuilder, ServiceStats};
 pub use shard::{run_sharded, ShardedRun};
 pub use system::{CoreResult, EventCounts, RunResult, SystemBuilder};
 

@@ -190,10 +190,19 @@ const SHARD_SALT: u64 = 0x517c_c1b7_2722_0a95;
 /// service run never replays a core stream's draws.
 const SERVICE_LANE: u64 = 0xA5;
 
+/// The page window `(first page, page count)` a service run over
+/// `geometry` partitions among its tenants: every page above the
+/// reserved low-page region (the first sixteenth), like the closed-loop
+/// windows. A run needs at least one page per tenant.
+pub fn tenant_window(geometry: &Geometry) -> (u64, u64) {
+    let pages = geometry.pages() as u64;
+    let base = pages / 16;
+    (base, pages - base)
+}
+
 /// Builds the shard-salted request stream for one kernel: the standard
-/// tenant mix over the geometry's workload window (above the reserved
-/// low-page region at `pages/16`, like the closed-loop windows), driven
-/// by the configured arrival process.
+/// tenant mix over the geometry's workload window ([`tenant_window`]),
+/// driven by the configured arrival process.
 pub(crate) fn feed_for(
     scfg: &ServiceConfig,
     ecfg: &ExperimentConfig,
@@ -204,12 +213,11 @@ pub(crate) fn feed_for(
     if let Some(s) = shard {
         seed = seed.wrapping_add((s as u64 + 1).wrapping_mul(SHARD_SALT));
     }
-    let pages = geometry.pages() as u64;
-    let base = pages / 16;
+    let (base, span) = tenant_window(geometry);
     let mix = TenantMix::standard(
         scfg.tenants,
         base,
-        pages - base,
+        span,
         scfg.zipf_theta,
         scfg.read_fraction,
     );
