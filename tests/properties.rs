@@ -1,15 +1,19 @@
 //! Property-based tests (proptest) on the core data structures and the
 //! invariants the paper's correctness argument rests on.
 
+use ladder::coding::LocationChannel;
 use ladder::core::{
     apply_fnw, estimate_cw_lrs, exact_cw_lrs, shift_line, undo_fnw, unshift_line, FnwPolicy,
     LrsCounterGroup, PartialCounters,
 };
+use ladder::cpu::VecTrace;
 use ladder::reram::{AddressMap, Decoded, Geometry, Interleave, LineAddr, Topology};
 use ladder::sim::{ArrivalKind, CodingKind, RemapKind};
-use ladder::xbar::{analytic, CrossbarParams, LatencyLaw, TableConfig, TimingTable};
+use ladder::workloads::{parse_trace, serialize_trace};
+use ladder::xbar::{analytic, ContentAxis, CrossbarParams, LatencyLaw, TableConfig, TimingTable};
 use proptest::prelude::*;
 use std::fmt::{Debug, Display};
+use std::sync::OnceLock;
 
 fn arb_line() -> impl Strategy<Value = [u8; 64]> {
     prop::collection::vec(any::<u8>(), 64).prop_map(|v| {
@@ -265,5 +269,148 @@ fn every_cli_kind_round_trips_through_display() {
     }
     for k in CodingKind::ALL {
         assert_eq!(k.to_string().parse(), Ok(k));
+    }
+}
+
+/// One token of a trace-file line: well-formed fields, overflowing and
+/// signed numbers, wrong ops, and 128-byte or 128-character data fields
+/// that are not 128 hex digits (multibyte letters, one straddling a
+/// hex-pair boundary, a leading `+`, one digit short).
+fn trace_token(i: usize) -> String {
+    let hex = "0123456789abcdef".repeat(8);
+    match i {
+        0 => "0".into(),
+        1 => "17".into(),
+        2 => "18446744073709551616".into(),
+        3 => "-1".into(),
+        4 => "R".into(),
+        5 => "W".into(),
+        6 => "r".into(),
+        7 => "1".into(),
+        8 => "ffffffffffffffffff".into(),
+        9 => "0x10".into(),
+        10 => hex,
+        11 => "\u{e9}".repeat(128),
+        12 => format!("+{}", &hex[1..]),
+        13 => format!("a\u{e9}{}", &hex[3..]),
+        14 => hex[1..].to_string(),
+        15 => "#".into(),
+        16 => "\n".into(),
+        _ => "\u{3b1}".into(),
+    }
+}
+
+/// Trace text: runs of [`trace_token`]s joined by spaces, tabs and
+/// newlines, read lines, write lines whose data field is well-formed or
+/// one of the malformed 128-wide tokens, or arbitrary `char`s.
+fn arb_trace_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        prop::collection::vec((0usize..18, 0usize..3), 0..16).prop_map(|toks| {
+            toks.into_iter()
+                .map(|(t, sep)| trace_token(t) + [" ", "\t", "\n"][sep])
+                .collect()
+        }),
+        (any::<u64>(), any::<u64>(), 9usize..16, any::<u8>()).prop_map(
+            |(gap, addr, data, byte)| match data {
+                9 => format!("{gap} R {addr:x} {}\n", byte & 1),
+                15 => format!("{gap} W {addr:x} {}\n", format!("{byte:02x}").repeat(64)),
+                t => format!("{gap} W {addr:x} {}\n", trace_token(t)),
+            }
+        ),
+        prop::collection::vec(0u32..0x11_0000, 0..64)
+            .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect()),
+    ]
+}
+
+/// A ROM image: usually exactly `bands³` bytes, sometimes a wrong length,
+/// with band counts up to ones whose cube overflows `usize`.
+fn arb_rom() -> impl Strategy<Value = (Vec<u8>, usize)> {
+    prop_oneof![
+        (1usize..7).prop_flat_map(|bands| {
+            prop::collection::vec(any::<u8>(), bands * bands * bands)
+                .prop_map(move |bytes| (bytes, bands))
+        }),
+        (prop::collection::vec(any::<u8>(), 0..300), 0usize..9),
+        (prop::collection::vec(any::<u8>(), 0..8), any::<usize>()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    // External inputs return errors, never panic; whatever parses
+    // survives a serialize → parse round trip.
+    #[test]
+    fn trace_parser_never_panics(text in arb_trace_text()) {
+        if let Ok(events) = parse_trace(&text) {
+            prop_assert!(events.len() <= text.lines().count());
+            let again = serialize_trace(VecTrace::new("prop", events.clone()));
+            prop_assert_eq!(parse_trace(&again), Ok(events));
+        }
+    }
+
+    #[test]
+    fn rom_loader_never_panics(
+        (bytes, bands) in arb_rom(),
+        scale_ps in prop_oneof![0u64..5_000, any::<u64>()],
+        bitline in any::<bool>(),
+    ) {
+        let axis = if bitline { ContentAxis::Bitline } else { ContentAxis::Wordline };
+        let law = TableConfig::ladder_default().law;
+        if let Ok(table) = TimingTable::from_rom_bytes(&bytes, bands, 512, 512, axis, law, scale_ps) {
+            prop_assert_eq!(table.bands(), bands);
+            let worst = bytes.iter().map(|&b| u64::from(b) * scale_ps).max();
+            prop_assert_eq!(Some(table.worst_ps()), worst);
+        }
+    }
+}
+
+/// The module's coding channel over the default LADDER table, built once.
+fn location_channel() -> &'static LocationChannel {
+    static CHANNEL: OnceLock<LocationChannel> = OnceLock::new();
+    CHANNEL.get_or_init(|| {
+        let table = TimingTable::generate(&TableConfig::ladder_default()).expect("table");
+        LocationChannel::new(table, AddressMap::new(Geometry::default()))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    // Metamorphic law of the coding channel (Chen & Dolecek's 1S1R
+    // channel models; LADDER Fig. 11): the raw bit-error rate never falls
+    // when the write moves one wordline farther from the drivers, to a
+    // slot with a farther worst column, or when the line holds one more
+    // LRS bit. No line sits below the channel's position-margin floor.
+    #[test]
+    fn raw_ber_never_falls_with_distance_or_lrs_content(
+        line in 0u64..Geometry::default().lines(),
+        slots in (0usize..64, 0usize..64),
+        data in arb_line(),
+        bit in 0usize..512,
+        attempt in 0u32..4,
+    ) {
+        let ch = location_channel();
+        let map = ch.map();
+        let g = map.geometry();
+        let addr = LineAddr::new(line);
+        prop_assert!(ch.position_margin_floor() <= ch.position_margin(addr));
+        let d = map.decode(addr);
+        let ber = |d: &Decoded, data: &[u8; 64]| ch.raw_ber(1e-4, map.encode(d), data, attempt);
+        let here = ber(&d, &data);
+        if d.wordline + 1 < g.mat_rows {
+            let farther = Decoded { wordline: d.wordline + 1, ..d };
+            prop_assert!(ber(&farther, &data) >= here, "farther wordline");
+        }
+        let (near, far) = (slots.0.min(slots.1), slots.0.max(slots.1));
+        prop_assert!(g.worst_column_of_slot(near) <= g.worst_column_of_slot(far));
+        prop_assert!(
+            ber(&Decoded { block_slot: far, ..d }, &data)
+                >= ber(&Decoded { block_slot: near, ..d }, &data),
+            "farther column"
+        );
+        let mut more_lrs = data;
+        more_lrs[bit / 8] |= 1 << (bit % 8);
+        prop_assert!(ber(&d, &more_lrs) >= here, "one more LRS bit");
     }
 }
