@@ -120,26 +120,34 @@ fn drive_writes(mc: &mut MemoryController, mut now: Instant, writes: u64) -> Ins
 
 /// Hands the controller's registered wakes (`None`) and read completions
 /// (`Some(id)`) to `events`, as the system kernel does after every
-/// dispatch.
-fn absorb(mc: &mut MemoryController, events: &mut EventQueue<Option<ReqId>>) {
+/// dispatch, and returns how many landed at `now`, the instant last
+/// popped (those take the queue's same-instant lane).
+fn absorb(mc: &mut MemoryController, events: &mut EventQueue<Option<ReqId>>, now: Instant) -> u64 {
+    let mut at_now = 0;
     for (at, _) in mc.drain_wakes() {
+        at_now += u64::from(at == now);
         events.schedule(at, None);
     }
     for (id, at) in mc.drain_completed_reads() {
+        at_now += u64::from(at == now);
         events.schedule(at, Some(id));
     }
+    at_now
 }
 
 /// Kernel-style driver: offers `ops` requests (every fourth a demand
 /// read, the rest line writes), absorbing the controller's outbox into
 /// `events` after every `process` and stepping time from that queue's
 /// pops — never from `next_wake` — whenever the controller rejects.
+/// Returns the last instant popped and how many events were scheduled
+/// at the instant just popped.
 fn pump_ops(
     mc: &mut MemoryController,
     events: &mut EventQueue<Option<ReqId>>,
     mut now: Instant,
     ops: u64,
-) -> Instant {
+) -> (Instant, u64) {
+    let mut at_now = 0;
     for i in 0..ops {
         let addr = LineAddr::new(40_000 * 64 + (i * 17 % 8192) * 64);
         loop {
@@ -149,7 +157,7 @@ fn pump_ops(
                 mc.enqueue_write(addr, [i as u8; 64], now)
             };
             mc.process(now);
-            absorb(mc, events);
+            at_now += absorb(mc, events, now);
             if accepted {
                 break;
             }
@@ -159,7 +167,7 @@ fn pump_ops(
             now = t;
         }
     }
-    now
+    (now, at_now)
 }
 
 fn fresh_controller(table: &TimingTable) -> MemoryController {
@@ -196,29 +204,32 @@ fn bench_write_hotpath_disabled(c: &mut Criterion) {
 /// The kernel's handoff — draining the controller's wake outbox and read
 /// completions into the one event queue after every dispatch — must not
 /// allocate either: both drains reuse the controller's buffers, and the
-/// event heap keeps its warmed capacity.
+/// event heap and its same-instant lane keep their warmed capacity. The
+/// measured ops must schedule wakes at the instant just popped, so the
+/// lane is on the gated path.
 fn bench_kernel_handoff_disabled(c: &mut Criterion) {
     let table = standard_tables(&TableConfig::ladder_default()).ladder;
     c.bench_function("controller_kernel_handoff_tracing_disabled", |b| {
         b.iter(|| {
             let mut mc = fresh_controller(&table);
             let mut events = EventQueue::new();
-            let now = pump_ops(&mut mc, &mut events, Instant::ZERO, 4_000);
+            let (now, _) = pump_ops(&mut mc, &mut events, Instant::ZERO, 4_000);
             let before = allocations();
-            let now = pump_ops(&mut mc, &mut events, now, 4_000);
+            let (now, lane_events) = pump_ops(&mut mc, &mut events, now, 4_000);
             let after = allocations();
             assert_eq!(
                 after - before,
                 0,
                 "kernel-style wake and completion handoff allocated"
             );
+            assert!(lane_events > 0, "no event took the same-instant lane");
             // The drained wakes live in `events` now, so dispatch them
             // all before `finish`, as the kernel does.
             let mut now = now;
             while let Some((t, _)) = events.pop() {
                 now = t;
                 mc.process(now);
-                absorb(&mut mc, &mut events);
+                absorb(&mut mc, &mut events, now);
             }
             let end = mc.finish(now);
             assert!(mc.stats().demand_reads > 0, "no read completion handed off");

@@ -42,7 +42,7 @@ pub const USAGE: &str = "usage: [--quick] [--instructions N] [--seed S] [--jobs 
   --instructions N  instructions per core (overrides --quick)
   --seed S          master workload seed (default 2021)
   --jobs N          worker threads (default: LADDER_JOBS or all cores)
-  --topology CxR    shard runs over C channels x R ranks (e.g. 4x2);
+  --topology CxR    shard runs over C channels x R ranks (e.g. 4x2; R <= 8);
                     traced runs fold per-shard digests bit-reproducibly
   --interleave P    address striping policy: channel | bank | page
   --csv DIR         also write CSV output into DIR (main_eval only)
@@ -114,7 +114,8 @@ impl BenchArgs {
     ///
     /// Returns a message naming the offending argument on an unknown
     /// flag, a duplicate flag, a flag missing its value, an unparsable
-    /// value, or a `--zipf`, `--tenants` or `--load` value out of range.
+    /// value, a `--topology` whose shards exceed 64 banks, or a `--zipf`,
+    /// `--tenants` or `--load` value out of range.
     pub fn parse_from(argv: &[String]) -> Result<BenchArgs, String> {
         let mut quick = false;
         let mut instructions: Option<u64> = None;
@@ -156,7 +157,13 @@ impl BenchArgs {
                     i += 2;
                 }
                 "--topology" => {
-                    set_once(&mut topology, flag_value(argv, i)?, "--topology")?;
+                    let t: Topology = flag_value(argv, i)?;
+                    // Every shard is a one-channel slice of the default
+                    // module; its geometry must be one a controller runs.
+                    if let Err(e) = t.shard_geometry(&Geometry::default()).validate() {
+                        return Err(format!("`--topology` value `{t}`: {e}"));
+                    }
+                    set_once(&mut topology, t, "--topology")?;
                     i += 2;
                 }
                 "--interleave" => {
@@ -406,6 +413,7 @@ pub fn report_runner(runner: &Runner) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn parse(list: &[&str]) -> Result<BenchArgs, String> {
         let argv: Vec<String> = list.iter().map(|s| s.to_string()).collect();
@@ -552,6 +560,13 @@ mod tests {
         assert!(err.contains("--topology") && err.contains('4'), "{err}");
         let err = parse(&["--interleave", "diagonal"]).unwrap_err();
         assert!(err.contains("--interleave"), "{err}");
+        // 9 ranks of 8 banks overflow a channel's 64-bank masks.
+        let err = parse(&["--topology", "1x9"]).unwrap_err();
+        assert!(
+            err.contains("--topology") && err.contains("72 banks"),
+            "{err}"
+        );
+        assert!(parse(&["--topology", "1x8"]).is_ok());
     }
 
     #[test]
@@ -585,6 +600,96 @@ mod tests {
         assert!(err.contains("--seed") && err.contains("xyz"), "{err}");
         let err = parse(&["--jobs", "-1"]).unwrap_err();
         assert!(err.contains("--jobs"), "{err}");
+    }
+
+    /// Every flag, an unknown one and a lone dash.
+    const FLAGS: [&str; 14] = [
+        "--quick",
+        "--instructions",
+        "--seed",
+        "--jobs",
+        "--trace",
+        "--topology",
+        "--interleave",
+        "--csv",
+        "--arrival",
+        "--zipf",
+        "--tenants",
+        "--load",
+        "--bogus",
+        "-",
+    ];
+
+    /// Flag values: valid ones, and negative, overflowing, non-finite,
+    /// NaN, out-of-range, malformed-list, empty and multibyte ones.
+    const VALUES: [&str; 26] = [
+        "0",
+        "1",
+        "-1",
+        "-0.0",
+        "0.5",
+        "0.9999999999999999",
+        "1.0",
+        "18446744073709551616",
+        "1e309",
+        "-inf",
+        "NaN",
+        "nan",
+        "2,6.5",
+        "1,,2",
+        "3,NaN",
+        "4,-2",
+        "4x2",
+        "1x9",
+        "2x18446744073709551615",
+        "poisson",
+        "bank",
+        "",
+        " ",
+        "\u{e9}",
+        "\u{65e5}\u{672c}",
+        "\u{0}",
+    ];
+
+    /// One or two arguments: a flag with a value (possibly a duplicate
+    /// or another flag), a lone flag or value (so values go missing),
+    /// or arbitrary text.
+    fn arb_args() -> impl Strategy<Value = Vec<String>> {
+        let text = |i: usize| {
+            if i < FLAGS.len() {
+                FLAGS[i].to_string()
+            } else {
+                VALUES[i - FLAGS.len()].to_string()
+            }
+        };
+        prop_oneof![
+            (0..FLAGS.len(), 0..VALUES.len())
+                .prop_map(|(f, v)| vec![FLAGS[f].to_string(), VALUES[v].to_string()]),
+            (0..FLAGS.len() + VALUES.len()).prop_map(move |i| vec![text(i)]),
+            prop::collection::vec(0u32..0x11_0000, 0..6)
+                .prop_map(|cs| vec![cs.into_iter().filter_map(char::from_u32).collect()]),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        // Any argument soup parses to `Ok` or `Err`, never a panic, and
+        // whatever is accepted holds the documented ranges.
+        #[test]
+        fn parse_from_never_panics(soup in prop::collection::vec(arb_args(), 0..4)) {
+            let argv: Vec<String> = soup.concat();
+            if let Ok(a) = BenchArgs::parse_from(&argv) {
+                prop_assert!(a.zipf.is_none_or(|z| (0.0..1.0).contains(&z)), "{argv:?}");
+                prop_assert!(a.tenants.is_none_or(|n| n >= 1), "{argv:?}");
+                prop_assert!(a.load.iter().all(|l| l.is_finite() && *l > 0.0), "{argv:?}");
+                prop_assert!(!a.quick || argv.iter().any(|t| t == "--quick"));
+                if let Some(t) = a.topology {
+                    prop_assert!(t.shard_geometry(&Geometry::default()).validate().is_ok());
+                }
+                let _ = a.service_tenants();
+            }
+        }
     }
 
     #[test]

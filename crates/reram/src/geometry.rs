@@ -11,6 +11,8 @@ pub const LINE_BYTES: usize = 64;
 pub const LINES_PER_WLG: usize = 64;
 /// Bytes per page (one WLG stores exactly one page).
 pub const PAGE_BYTES: usize = LINE_BYTES * LINES_PER_WLG;
+/// Most banks one channel may have (`ranks_per_channel × banks_per_rank`).
+pub const MAX_BANKS_PER_CHANNEL: usize = 64;
 
 /// Geometry of the ReRAM module.
 ///
@@ -70,6 +72,8 @@ impl Geometry {
     /// * `mats_per_bank` divides evenly into mat groups;
     /// * `mat_cols` is a multiple of [`LINES_PER_WLG`] (each line gets the
     ///   same number of adjacent bit columns per mat);
+    /// * a channel has at most [`MAX_BANKS_PER_CHANNEL`] banks (the memory
+    ///   controller tracks a channel's banks in 64-bit masks);
     /// * all dimensions are nonzero.
     ///
     /// # Errors
@@ -101,6 +105,12 @@ impl Geometry {
                 "{} mats/bank do not form whole mat groups of {}",
                 self.mats_per_bank,
                 self.mats_per_line_per_chip()
+            ));
+        }
+        let banks = self.ranks_per_channel.saturating_mul(self.banks_per_rank);
+        if banks > MAX_BANKS_PER_CHANNEL {
+            return Err(format!(
+                "{banks} banks per channel exceed the supported {MAX_BANKS_PER_CHANNEL}"
             ));
         }
         if !self.mat_cols.is_multiple_of(LINES_PER_WLG) {
@@ -237,6 +247,22 @@ mod tests {
         assert!(broken(|g| g.mat_cols = 100).contains("bit columns"));
         assert!(broken(|g| g.mats_per_bank = 12).contains("mat groups"));
         assert!(broken(|g| g.channels = 0).contains("nonzero"));
+        let too_many = broken(|g| {
+            g.ranks_per_channel = 5;
+            g.banks_per_rank = 13;
+        });
+        assert!(too_many.contains("65 banks per channel"), "{too_many}");
+        assert!(broken(|g| g.ranks_per_channel = usize::MAX).contains("banks per channel"));
+    }
+
+    #[test]
+    fn sixty_four_banks_per_channel_validate() {
+        let g = Geometry {
+            ranks_per_channel: 4,
+            banks_per_rank: 16,
+            ..Geometry::default()
+        };
+        assert!(g.validate().is_ok());
     }
 
     #[test]

@@ -29,7 +29,7 @@ mod timing;
 mod topology;
 
 pub use address::{AddressMap, Decoded, Interleave, LineAddr, WlgId};
-pub use geometry::{Geometry, LINES_PER_WLG, LINE_BYTES, PAGE_BYTES};
+pub use geometry::{Geometry, LINES_PER_WLG, LINE_BYTES, MAX_BANKS_PER_CHANNEL, PAGE_BYTES};
 pub use store::{line_ones, FaultMask, LineData, LineStore};
 pub use time::{EventQueue, Instant, Picos};
 pub use timing::DeviceTiming;

@@ -5,7 +5,7 @@
 //! floating-point drift across billions of cycles.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -177,10 +177,19 @@ impl fmt::Display for Instant {
 /// A deterministic discrete-event queue of `(Instant, K)` entries with
 /// stable FIFO tie-breaking.
 ///
-/// A binary min-heap keyed on `(Instant, sequence)`: events scheduled for
-/// the same instant pop in the order they were scheduled (each entry
-/// carries a monotonically increasing sequence number), so a simulation
+/// Events pop in `(Instant, sequence)` order: events scheduled for the
+/// same instant pop in the order they were scheduled, so a simulation
 /// driven by an `EventQueue` is reproducible bit-for-bit.
+///
+/// The queue is a binary min-heap keyed on `(Instant, sequence)` plus a
+/// FIFO *lane* for events scheduled at the instant last popped (`now`),
+/// which a dispatch does often and which would otherwise sift through the
+/// heap and straight back out. The order is the heap's alone: a heap
+/// entry at `now` was scheduled before `now` was reached, so before every
+/// lane entry; heap entries before `now` precede the lane by instant; and
+/// every heap entry after `now` follows it. `pop` therefore serves heap
+/// entries at or before `now`, then the lane, then the heap's next
+/// instant.
 ///
 /// # Examples
 ///
@@ -200,6 +209,10 @@ impl fmt::Display for Instant {
 pub struct EventQueue<K> {
     heap: BinaryHeap<Scheduled<K>>,
     seq: u64,
+    /// The latest instant popped (`ZERO` before the first pop).
+    now: Instant,
+    /// Events scheduled at `now`, in scheduling order.
+    lane: VecDeque<K>,
 }
 
 #[derive(Debug)]
@@ -244,11 +257,17 @@ impl<K> EventQueue<K> {
         Self {
             heap: BinaryHeap::new(),
             seq: 0,
+            now: Instant::ZERO,
+            lane: VecDeque::new(),
         }
     }
 
     /// Schedules `kind` to fire at `at`.
     pub fn schedule(&mut self, at: Instant, kind: K) {
+        if at == self.now {
+            self.lane.push_back(kind);
+            return;
+        }
         self.heap.push(Scheduled {
             at,
             seq: self.seq,
@@ -259,7 +278,15 @@ impl<K> EventQueue<K> {
 
     /// Removes and returns the earliest event (FIFO among ties).
     pub fn pop(&mut self) -> Option<(Instant, K)> {
-        self.heap.pop().map(|s| (s.at, s.kind))
+        if self.heap.peek().is_some_and(|s| s.at <= self.now) {
+            return self.heap.pop().map(|s| (s.at, s.kind));
+        }
+        if let Some(kind) = self.lane.pop_front() {
+            return Some((self.now, kind));
+        }
+        let s = self.heap.pop()?;
+        self.now = s.at;
+        Some((s.at, s.kind))
     }
 }
 

@@ -7,11 +7,15 @@ use ladder::core::{
     LrsCounterGroup, PartialCounters,
 };
 use ladder::cpu::VecTrace;
-use ladder::reram::{AddressMap, Decoded, Geometry, Interleave, LineAddr, Topology};
+use ladder::reram::{
+    AddressMap, Decoded, EventQueue, Geometry, Instant, Interleave, LineAddr, Topology,
+};
 use ladder::sim::{ArrivalKind, CodingKind, RemapKind};
 use ladder::workloads::{parse_trace, serialize_trace};
 use ladder::xbar::{analytic, ContentAxis, CrossbarParams, LatencyLaw, TableConfig, TimingTable};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt::{Debug, Display};
 use std::sync::OnceLock;
 
@@ -412,5 +416,44 @@ proptest! {
         let mut more_lrs = data;
         more_lrs[bit / 8] |= 1 << (bit % 8);
         prop_assert!(ber(&d, &more_lrs) >= here, "one more LRS bit");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    // The event queue's same-instant lane is a layout, not an ordering:
+    // under any mix of pops and schedules (before the first pop, at the
+    // instant just popped, later, earlier) it pops exactly what a plain
+    // `(instant, sequence)` min-heap pops.
+    #[test]
+    fn event_queue_pops_in_heap_order(
+        ops in prop::collection::vec((0u8..7, 0u64..40), 0..300),
+    ) {
+        let mut queue = EventQueue::new();
+        let mut oracle = BinaryHeap::new();
+        let mut last = Instant::ZERO;
+        for (i, &(op, delta)) in ops.iter().enumerate() {
+            let at = match op {
+                0 | 1 => {
+                    let want = oracle.pop().map(|Reverse((at, _, k))| (at, k));
+                    prop_assert_eq!(queue.pop(), want, "pop {}", i);
+                    if let Some((at, _)) = want {
+                        last = last.max(at);
+                    }
+                    continue;
+                }
+                2..=4 => last,
+                5 => Instant::from_ps(last.as_ps() + 1 + delta),
+                _ => Instant::from_ps(last.as_ps().saturating_sub(delta)),
+            };
+            queue.schedule(at, i);
+            oracle.push(Reverse((at, i, i)));
+        }
+        let rest: Vec<_> = std::iter::from_fn(|| queue.pop()).collect();
+        let want: Vec<_> = std::iter::from_fn(|| oracle.pop())
+            .map(|Reverse((at, _, k))| (at, k))
+            .collect();
+        prop_assert_eq!(rest, want);
     }
 }
