@@ -37,18 +37,18 @@ fn main() {
                 .interleave(policy)
                 .trace(true)
                 .build();
-            let run = run_sharded(&sim_cfg, &cfg, &tables, &runner);
+            let run = run_sharded(&sim_cfg, &cfg, &tables, &runner).merged();
             let end_us = run.end.as_ps() as f64 / 1e6;
             println!(
                 "{:<9}{:<13}{:>12}{:>10}{:>10.1}{:>12.1}  {}",
                 policy.name(),
                 scheme.name(),
-                run.retired(),
+                run.cores.iter().map(|c| c.retired).sum::<u64>(),
                 run.mem.data_writes,
                 end_us,
                 run.energy.total_pj() / 1000.0,
-                run.digest
-                    .map(|d| d.to_string())
+                run.trace
+                    .map(|t| t.digest.to_string())
                     .unwrap_or_else(|| "-".to_string())
             );
             match scheme {

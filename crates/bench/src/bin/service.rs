@@ -15,7 +15,7 @@
 use ladder_bench::{report_runner, usage_exit, BenchArgs};
 use ladder_reram::Instant;
 use ladder_sim::experiments::Workload;
-use ladder_sim::{run_sharded, run_sim, ArrivalKind, Scheme, ServiceConfig, SimConfig};
+use ladder_sim::{run_sharded, ArrivalKind, Scheme, ServiceConfig, SimConfig};
 use ladder_trace::SloReport;
 
 fn main() {
@@ -55,20 +55,16 @@ fn main() {
                     .zipf_theta(zipf)
                     .requests(requests)
                     .build();
-                let builder = SimConfig::builder()
+                let sim = SimConfig::builder()
                     .scheme(scheme)
                     .workload(Workload::Single("astar"))
-                    .service(service);
-                let (stats, end) = if let Some(topology) = args.topology {
-                    let run =
-                        run_sharded(&builder.topology(topology).build(), &cfg, &tables, &runner);
-                    (run.service, run.end)
-                } else {
-                    let r = run_sim(&builder.build(), &cfg, &tables);
-                    (r.service, r.end)
-                };
-                let stats = stats.expect("service mode always returns stats");
-                let report = SloReport::build(&stats.tenants, end.duration_since(Instant::ZERO));
+                    .topology(args.topology)
+                    .interleave(args.interleave.unwrap_or_default())
+                    .service(service)
+                    .build();
+                let r = run_sharded(&sim, &cfg, &tables, &runner).merged();
+                let stats = r.service.expect("service mode always returns stats");
+                let report = SloReport::build(&stats.tenants, r.end.duration_since(Instant::ZERO));
                 println!(
                     "  {} / offered {:.1} req/us / {}: achieved {:.3} req/us, {} arrivals, {} deferred",
                     arrival.name(),

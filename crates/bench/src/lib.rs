@@ -30,8 +30,7 @@
 use ladder_reram::Geometry;
 use ladder_sim::experiments::{ExperimentConfig, Workload};
 use ladder_sim::{
-    run_sharded, run_sim, tenant_window, ArrivalKind, Interleave, Runner, Scheme, SimConfig,
-    Topology,
+    run_sharded, tenant_window, ArrivalKind, Interleave, Runner, Scheme, SimConfig, Topology,
 };
 
 /// The flags every binary accepts, printed when parsing fails.
@@ -277,14 +276,14 @@ impl BenchArgs {
 
     /// If `--trace PATH` was passed, runs one traced LADDER-Est simulation
     /// of `astar` at `cfg`'s scale, writes chrome://tracing JSON to
-    /// `PATH`, and prints the per-phase time-attribution summary plus a
-    /// stats-reconciliation line to stderr. Does nothing when the flag is
-    /// absent. An unwritable path exits with status 1.
+    /// `PATH`, and prints the merged run's per-phase time-attribution
+    /// summary, a stats-reconciliation line and the per-shard report to
+    /// stderr. Does nothing when the flag is absent. An unwritable path
+    /// exits with status 1.
     ///
-    /// With `--topology CxR` the traced run shards over the topology
-    /// instead: the chrome JSON holds shard 0's stream, and the summary
-    /// reports every shard plus the merged digest (bit-identical at any
-    /// `--jobs`).
+    /// With `--topology CxR` the traced run shards over the topology: the
+    /// chrome JSON holds shard 0's stream, and the merged digest is
+    /// bit-identical at any `--jobs`.
     ///
     /// Every bench binary calls this after its main output, so any of them
     /// can produce a trace without disturbing the figure pipeline (the
@@ -292,40 +291,31 @@ impl BenchArgs {
     pub fn emit_trace_if_requested(&self, cfg: &ExperimentConfig) {
         let Some(path) = &self.trace else { return };
         let tables = cfg.tables();
-        let builder = SimConfig::builder()
+        let sim = SimConfig::builder()
             .scheme(Scheme::LadderEst)
             .workload(Workload::Single("astar"))
+            .topology(self.topology)
             .interleave(self.interleave.unwrap_or_default())
-            .trace(true);
-        if let Some(topology) = self.topology {
-            let run = run_sharded(
-                &builder.topology(topology).build(),
-                cfg,
-                &tables,
-                &self.runner(),
-            );
-            let Some(shard0) = run.shards.first().and_then(|r| r.trace.as_ref()) else {
-                eprintln!("error: traced sharded run returned no trace buffer");
-                std::process::exit(1);
-            };
-            write_or_die(path, ladder_trace::chrome_trace_json(shard0));
-            eprintln!(
-                "trace: LADDER-Est/astar topology {topology} -> {path} (shard 0 of {})",
-                run.shards.len()
-            );
-            eprint!("{}", run.summary());
-            return;
-        }
-        let r = run_sim(&builder.build(), cfg, &tables);
-        let Some(trace) = r.trace.as_ref() else {
+            .trace(true)
+            .build();
+        let run = run_sharded(&sim, cfg, &tables, &self.runner());
+        let r = run.merged();
+        let (Some(shard0), Some(trace)) = (
+            run.shards.first().and_then(|s| s.trace.as_ref()),
+            r.trace.as_ref(),
+        ) else {
             // SimConfig.trace was set above, so this is unreachable in
             // practice; fail loudly rather than panicking in library code.
             eprintln!("error: traced run returned no trace buffer");
             std::process::exit(1);
         };
-        write_or_die(path, ladder_trace::chrome_trace_json(trace));
+        write_or_die(path, ladder_trace::chrome_trace_json(shard0));
+        let shard_note = self
+            .topology
+            .map(|t| format!(" (topology {t}, shard 0 of {})", run.shards.len()))
+            .unwrap_or_default();
         eprintln!(
-            "trace: LADDER-Est/astar -> {path} ({} records, {} dropped from ring, digest {})",
+            "trace: LADDER-Est/astar -> {path}{shard_note} ({} records, {} dropped from ring, digest {})",
             trace.records, trace.dropped, trace.digest
         );
         eprintln!(
@@ -340,6 +330,7 @@ impl BenchArgs {
             r.events.total()
         );
         eprint!("{}", ladder_trace::time_attribution(&trace.totals));
+        eprint!("{}", run.summary());
     }
 }
 

@@ -1,14 +1,13 @@
-//! The on-chip LRS-metadata cache and its spill buffer (paper Section 3.3).
+//! The on-chip LRS-metadata cache (paper Section 3.3).
 //!
 //! A small set-associative cache in the memory controller holds active
 //! metadata lines. Each tag carries a *Sharer* count: the number of write
 //! queue entries whose latency determination still needs this line. Lines
 //! with sharers can never be evicted; when a conflict set is fully shared,
-//! the incoming request parks in a 16-entry spill buffer and retries when
+//! the incoming request spills, and the memory controller retries it when
 //! the scheduler switches from write to read mode.
 
 use ladder_reram::LineAddr;
-use std::collections::VecDeque;
 
 /// Cache geometry and access cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,60 +266,6 @@ impl MetadataCache {
     }
 }
 
-/// The spill buffer holding write requests whose metadata could not be
-/// installed because a whole cache set was pinned by sharers.
-///
-/// Stores opaque request identifiers supplied by the memory controller.
-#[derive(Debug, Clone)]
-pub struct SpillBuffer {
-    capacity: usize,
-    entries: VecDeque<u64>,
-    /// High-water mark, for overhead reporting.
-    peak: usize,
-}
-
-impl SpillBuffer {
-    /// Creates an empty buffer with `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            entries: VecDeque::new(),
-            peak: 0,
-        }
-    }
-
-    /// Parks a request; returns `false` when the buffer is full (the
-    /// controller must then stall the write queue head).
-    pub fn push(&mut self, request: u64) -> bool {
-        if self.entries.len() >= self.capacity {
-            return false;
-        }
-        self.entries.push_back(request);
-        self.peak = self.peak.max(self.entries.len());
-        true
-    }
-
-    /// Removes and returns the oldest parked request.
-    pub fn pop(&mut self) -> Option<u64> {
-        self.entries.pop_front()
-    }
-
-    /// Parked request count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no requests are parked.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Highest simultaneous occupancy observed.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,18 +372,5 @@ mod tests {
         let flushed = c.flush_dirty();
         assert_eq!(flushed, vec![b]);
         assert!(c.flush_dirty().is_empty());
-    }
-
-    #[test]
-    fn spill_buffer_respects_capacity_and_order() {
-        let mut s = SpillBuffer::new(2);
-        assert!(s.push(10));
-        assert!(s.push(11));
-        assert!(!s.push(12));
-        assert_eq!(s.peak(), 2);
-        assert_eq!(s.pop(), Some(10));
-        assert_eq!(s.pop(), Some(11));
-        assert_eq!(s.pop(), None);
-        assert!(s.is_empty());
     }
 }

@@ -46,7 +46,7 @@ mod metadata;
 mod partial;
 mod shift;
 
-pub use cache::{CacheStats, InsertOutcome, MetadataCache, MetadataCacheConfig, SpillBuffer};
+pub use cache::{CacheStats, InsertOutcome, MetadataCache, MetadataCacheConfig};
 pub use counters::{LrsCounterGroup, COUNTER_MAX, LINES_PER_GROUP, PACKED_BYTES};
 pub use engine::{
     DependencyRead, EngineStats, LadderConfig, LadderEngine, LadderVariant, PrepareOutcome,

@@ -8,11 +8,12 @@
 //! and IPC. Dependency reads (stale blocks, metadata fills) are issued in
 //! both modes so queued writes can become ready; writes whose metadata and
 //! stale block are ready are prioritized, and writes whose metadata could
-//! not be pinned park in a spill buffer that retries on write→read
-//! switches, as Section 3.3 describes.
+//! not be pinned stay unprepared in the write queue and retry on
+//! write→read switches, as Section 3.3 describes. The spill buffer itself
+//! is only counted, for its peak occupancy.
 
 use crate::policy::WritePolicy;
-use ladder_core::{ReadKind, SpillBuffer};
+use ladder_core::ReadKind;
 use ladder_reram::{
     AddressMap, DeviceTiming, Instant, LineAddr, LineData, LineStore, Picos, WlgId,
     MAX_BANKS_PER_CHANNEL,
@@ -33,7 +34,9 @@ pub struct MemCtrlConfig {
     pub drain_high: usize,
     /// Leave write-drain mode at (or below) this occupancy.
     pub drain_low: usize,
-    /// Spill-buffer entries.
+    /// Spill-buffer entries. Only caps the reported
+    /// [`MemStats::spill_peak`]: a full buffer stalls nothing, since a
+    /// spilled write waits in the write queue for its retry either way.
     pub spill_capacity: usize,
     /// Device access timings.
     pub timing: DeviceTiming,
@@ -532,7 +535,9 @@ pub struct MemoryController {
     store: LineStore,
     channels: Vec<Channel>,
     banks: Vec<Instant>,
-    spill: SpillBuffer,
+    /// Spilled writes parked since the last retry, capped at
+    /// `cfg.spill_capacity`.
+    spilled: usize,
     completed_reads: Vec<(ReqId, Instant)>,
     next_id: u64,
     stats: MemStats,
@@ -584,7 +589,7 @@ impl MemoryController {
             .collect();
         let banks = vec![Instant::ZERO; map.geometry().total_banks()];
         Self {
-            spill: SpillBuffer::new(cfg.spill_capacity),
+            spilled: 0,
             cfg,
             map,
             policy,
@@ -674,7 +679,7 @@ impl MemoryController {
             c.writes.clear();
             c.mode = Mode::Read;
         }
-        while self.spill.pop().is_some() {}
+        self.spilled = 0;
         self.policy.crash_recover(&mut self.store);
     }
 
@@ -783,8 +788,9 @@ impl MemoryController {
         let entry = &mut self.channels[ch].wrq[idx];
         entry.prepared = !prep.spilled;
         if prep.spilled {
-            if self.spill.push(write_id.0) {
-                self.stats.spill_peak = self.stats.spill_peak.max(self.spill.len());
+            if self.spilled < self.cfg.spill_capacity {
+                self.spilled += 1;
+                self.stats.spill_peak = self.stats.spill_peak.max(self.spilled);
             }
             return;
         }
@@ -1014,7 +1020,7 @@ impl MemoryController {
     /// Re-prepares every unprepared (spilled) write, oldest first — invoked
     /// on write→read mode switches per the paper.
     fn retry_spilled(&mut self, now: Instant) {
-        while self.spill.pop().is_some() {}
+        self.spilled = 0;
         let mut targets: Vec<(usize, usize, ReqId)> = Vec::new();
         for (ci, c) in self.channels.iter().enumerate() {
             for (wi, w) in c.wrq.iter().enumerate() {

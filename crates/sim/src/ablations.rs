@@ -9,11 +9,12 @@
 //! Every sweep point is an independent simulation, so each study fans its
 //! runs out on the caller's [`Runner`].
 
-use crate::config::{run_sim, SimConfig};
+use crate::config::{builder_for, SimConfig};
 use crate::experiments::{ExperimentConfig, Workload};
 use crate::runner::Runner;
 use crate::scheme::Scheme;
-use crate::system::{RunResult, SystemBuilder};
+use crate::shard::run_sim;
+use crate::system::RunResult;
 use ladder_core::{FnwPolicy, LadderConfig, LadderVariant, MetadataCacheConfig};
 use ladder_memctrl::{MemCtrlConfig, Tables};
 use ladder_reram::Geometry;
@@ -52,11 +53,13 @@ fn run_with_ladder_cfg(
     lcfg: LadderConfig,
     scheme: Scheme,
 ) -> RunResult {
-    let mut b = SystemBuilder::with_tables(scheme, tables);
-    for (core, bench) in workload.members().into_iter().enumerate() {
-        let (trace, mlp) = crate::experiments::trace_for(bench, core, cfg);
-        b.core(trace, mlp);
-    }
+    let mut b = builder_for(
+        &SimConfig::new(scheme, workload),
+        cfg,
+        tables,
+        Geometry::default(),
+        None,
+    );
     b.ladder_config(lcfg);
     b.run()
 }
@@ -236,11 +239,13 @@ pub fn drain_watermark_sweep(
     let (results, _) = runner.run_jobs(watermarks.len() * schemes.len(), |i| {
         let (high, low) = watermarks[i / schemes.len()];
         let scheme = schemes[i % schemes.len()];
-        let mut b = SystemBuilder::with_tables(scheme, &tables);
-        for (core, bench) in workload.members().into_iter().enumerate() {
-            let (trace, mlp) = crate::experiments::trace_for(bench, core, cfg);
-            b.core(trace, mlp);
-        }
+        let mut b = builder_for(
+            &SimConfig::new(scheme, workload),
+            cfg,
+            &tables,
+            Geometry::default(),
+            None,
+        );
         b.mem_config(MemCtrlConfig {
             drain_high: high,
             drain_low: low,
@@ -282,11 +287,13 @@ pub fn vwl_comparison(
         _ => {
             let total_lines = Geometry::default().lines();
             let base_line = (Geometry::default().pages() as u64 / 16) * 64;
-            let mut b = SystemBuilder::with_tables(Scheme::LadderEst, &tables);
-            for (core, bench) in workload.members().into_iter().enumerate() {
-                let (trace, mlp) = crate::experiments::trace_for(bench, core, cfg);
-                b.core(trace, mlp);
-            }
+            let mut b = builder_for(
+                &SimConfig::new(Scheme::LadderEst, workload),
+                cfg,
+                &tables,
+                Geometry::default(),
+                None,
+            );
             b.leveler(Box::new(StartGap::new(
                 base_line,
                 total_lines - base_line - 1,

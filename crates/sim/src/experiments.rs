@@ -5,12 +5,12 @@
 //! `ladder-bench` binaries call these functions and print the same rows and
 //! series the paper reports.
 
-use crate::config::{run_sim, SimConfig};
+use crate::config::{builder_for, SimConfig};
 use crate::runner::{AloneIpcCache, Runner, RunnerStats};
 use crate::scheme::Scheme;
 use crate::service::ServiceConfig;
-use crate::shard::run_sharded;
-use crate::system::{RunResult, SystemBuilder};
+use crate::shard::{run_sharded, run_sim};
+use crate::system::RunResult;
 use ladder_coding::{CodingKind, CodingStats};
 use ladder_cpu::TraceSource;
 use ladder_faults::{FaultConfig, FaultStats};
@@ -1156,11 +1156,13 @@ pub fn hot_remap_extension(
             &tables,
         ),
         _ => {
-            let mut b = SystemBuilder::with_tables(Scheme::LadderHybrid, &tables);
-            for (core, bench) in workload.members().into_iter().enumerate() {
-                let (trace, mlp) = trace_for(bench, core, cfg);
-                b.core(trace, mlp);
-            }
+            let mut b = builder_for(
+                &SimConfig::new(Scheme::LadderHybrid, workload),
+                cfg,
+                &tables,
+                Geometry::default(),
+                None,
+            );
             b.leveler(Box::new(HotPageRemapper::new(frames.clone(), 400)));
             b.run()
         }
@@ -1365,10 +1367,11 @@ pub fn lifetime_campaign(
                                 .with(|w| w.unevenness())
                         })
                         .fold(1.0_f64, f64::max);
-                    let elapsed_s = run.end.duration_since(Instant::ZERO).as_ps() as f64 * 1e-12;
+                    let merged = run.merged();
+                    let elapsed_s = merged.end.duration_since(Instant::ZERO).as_ps() as f64 * 1e-12;
                     let rate = total_writes as f64 / elapsed_s;
                     let leveled_secs = nominal_endurance as f64 * data_lines as f64 / rate;
-                    let coding_stats = run.coding.unwrap_or_default();
+                    let coding_stats = merged.coding.unwrap_or_default();
                     let wa = coding_stats.write_amplification();
                     rows.push(CampaignRow {
                         skew,
@@ -1377,10 +1380,10 @@ pub fn lifetime_campaign(
                         coding,
                         device_years: leveled_secs / unevenness / (1.0 + wa) / SECONDS_PER_YEAR,
                         unevenness,
-                        p50_read_ns: run.read_histogram.percentile(0.50).as_ns(),
-                        p99_read_ns: run.read_histogram.percentile(0.99).as_ns(),
+                        p50_read_ns: merged.read_histogram.percentile(0.50).as_ns(),
+                        p99_read_ns: merged.read_histogram.percentile(0.99).as_ns(),
                         coding_stats,
-                        faults: run.faults.unwrap_or_default(),
+                        faults: merged.faults.unwrap_or_default(),
                     });
                 }
             }

@@ -7,10 +7,12 @@
 //! — into runnable systems, and exposes one function per paper table or
 //! figure in [`experiments`].
 //!
-//! The front door is the topology-aware [`SimConfig`] builder: a
-//! monolithic (single-controller) config runs through [`run_sim`], and a
-//! sharded `channels × ranks` [`Topology`] runs through [`run_sharded`],
-//! which folds the per-channel shards bit-reproducibly at any `--jobs`.
+//! The front door is the topology-aware [`SimConfig`] builder. Every
+//! config — monolithic (one controller) or a sharded `channels × ranks`
+//! [`Topology`] — runs through one simulate step and one shard fold:
+//! [`run_sim`] returns the folded result, and [`run_sharded`] fans the
+//! shards out on a [`Runner`] and keeps them, folding on demand with
+//! [`ShardedRun::merged`] bit-reproducibly at any `--jobs`.
 
 pub mod ablations;
 pub mod config;
@@ -23,11 +25,11 @@ pub mod shard;
 mod system;
 pub mod wallclock;
 
-pub use config::{run_sim, SimConfig, SimConfigBuilder};
+pub use config::{SimConfig, SimConfigBuilder};
 pub use runner::{default_jobs, AloneIpcCache, Runner, RunnerStats};
 pub use scheme::Scheme;
 pub use service::{tenant_window, ArrivalKind, ServiceConfig, ServiceConfigBuilder, ServiceStats};
-pub use shard::{run_sharded, ShardedRun};
+pub use shard::{run_sharded, run_sim, ShardedRun};
 pub use system::{CoreResult, EventCounts, RunResult, SystemBuilder};
 
 // Re-exported so bench binaries can parse and build topologies without

@@ -34,9 +34,10 @@ use std::time::Duration;
 use ladder_memctrl::Tables;
 use ladder_reram::Picos;
 
-use crate::config::{run_sim, SimConfig};
+use crate::config::SimConfig;
 use crate::experiments::{ExperimentConfig, Workload};
 use crate::scheme::Scheme;
+use crate::shard::run_sim;
 use crate::system::{EventCounts, RunResult};
 
 /// Timing observability for one batch of jobs.
@@ -270,12 +271,11 @@ impl Runner {
     /// Runs a batch of [`SimConfig`] simulation jobs against one shared
     /// [`Tables`] bundle, returning results in submission order.
     ///
-    /// Each config must be monolithic (no topology) — sharded configs go
-    /// through [`crate::shard::run_sharded`], which itself fans its shards
-    /// out on a `Runner`. Besides timings, the returned stats carry the
-    /// batch's aggregate event-kernel dispatch counters and total
-    /// simulated time, so events-per-sim-second is reported alongside
-    /// wall-clock speedup.
+    /// Each job is one [`run_sim`]: a topology config runs its shards
+    /// sequentially inside its job and yields their fold. Besides
+    /// timings, the returned stats carry the batch's aggregate
+    /// event-kernel dispatch counters and total simulated time, so
+    /// events-per-sim-second is reported alongside wall-clock speedup.
     pub fn run_configs(
         &self,
         cfg: &ExperimentConfig,

@@ -1,18 +1,26 @@
-//! The sharded multi-channel runner: one controller and event stream per
-//! channel, folded bit-reproducibly.
+//! The run path: every [`SimConfig`] goes through one simulate step and
+//! one shard fold.
 //!
-//! A topology `C x R` splits the module into `C` shards, each a
-//! one-channel slice ([`Topology::shard_geometry`]) driven by its own
+//! A monolithic config (no topology) is one controller over
+//! `Geometry::default()` with unsalted workload seeds. A topology
+//! `C x R` splits the module into `C` shards, each a one-channel slice
+//! ([`Topology::shard_geometry`]) driven by its own
 //! [`crate::system::SystemBuilder`]-built event kernel with a
 //! shard-salted workload stream. Shards are fully independent
 //! simulations, so they fan out on the work-stealing [`Runner`] — and
-//! because the runner returns results in submission order, every merged
-//! statistic and the merged golden-trace digest are bit-identical at any
-//! `--jobs`.
+//! because the runner returns results in submission order, the fold and
+//! its merged golden-trace digest are bit-identical at any `--jobs`.
+//!
+//! [`run_sim`] returns the folded result; [`run_sharded`] keeps the
+//! per-shard results and folds them on demand ([`ShardedRun::merged`]).
+//! Both accept every config.
+
+use std::borrow::Cow;
 
 use crate::config::{builder_for, SimConfig};
 use crate::experiments::ExperimentConfig;
 use crate::runner::{Runner, RunnerStats};
+use crate::scheme::Scheme;
 use crate::service::ServiceStats;
 use crate::system::{EventCounts, RunResult};
 use ladder_coding::CodingStats;
@@ -20,64 +28,41 @@ use ladder_energy::EnergyBreakdown;
 use ladder_faults::FaultStats;
 use ladder_memctrl::{LatencyHistogram, MemStats, Tables};
 use ladder_reram::{Geometry, Instant, Interleave, Topology};
-use ladder_trace::{merge_digests, Mergeable, TraceDigest};
+use ladder_trace::{merge_digests, Mergeable, Trace, TraceTotals};
 
-/// Outcome of one sharded run: the per-shard results plus every
-/// cross-shard fold a figure or gate consumes.
+/// Outcome of [`run_sharded`]: the per-shard results and the batch
+/// timings. [`ShardedRun::merged`] folds the shards into one result.
 #[derive(Debug)]
 pub struct ShardedRun {
-    /// The topology that was simulated.
-    pub topology: Topology,
+    /// The topology that was simulated; `None` for a monolithic run.
+    pub topology: Option<Topology>,
     /// The address striping policy the shards decoded with.
     pub interleave: Interleave,
-    /// Per-shard results, in shard-index (= channel) order.
+    /// Per-shard results, in shard-index (= channel) order. A monolithic
+    /// run has exactly one.
     pub shards: Vec<RunResult>,
-    /// Memory-controller statistics folded over all shards.
-    pub mem: MemStats,
-    /// Event-kernel dispatch counters folded over all shards.
-    pub events: EventCounts,
-    /// Dynamic energy summed over all shards.
-    pub energy: EnergyBreakdown,
-    /// Final simulated time: the slowest shard's end.
-    pub end: Instant,
-    /// Demand-read latency distribution folded over all shards.
-    pub read_histogram: LatencyHistogram,
-    /// Fault-model counters folded over all shards, when fault injection
-    /// was requested.
-    pub faults: Option<FaultStats>,
-    /// Coding-layer counters folded over all shards, when fault injection
-    /// was requested.
-    pub coding: Option<CodingStats>,
-    /// Open-loop service statistics folded over all shards, when the
-    /// config selected service mode.
-    pub service: Option<ServiceStats>,
-    /// Merged golden-trace digest (shard digests folded in shard order),
-    /// when tracing was requested and every shard produced a trace.
-    pub digest: Option<TraceDigest>,
-    /// Total trace records across shards.
-    pub records: u64,
-    /// Timing observability for the shard batch.
+    /// Timing observability for the shard batch. Empty for a monolithic
+    /// run, which runs inline on the caller's thread.
     pub stats: RunnerStats,
 }
 
 impl ShardedRun {
-    /// Instructions retired summed over every core of every shard.
-    pub fn retired(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|r| r.cores.iter())
-            .map(|c| c.retired)
-            .sum()
+    /// The shards folded into one result, exactly as [`run_sim`] returns
+    /// it for the same config.
+    pub fn merged(&self) -> RunResult {
+        fold_shards(self.topology, Cow::Borrowed(&self.shards))
     }
 
-    /// Renders a human-readable report of the merged run.
+    /// Renders a human-readable report of the per-shard and merged run.
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
+        let shape = self
+            .topology
+            .map_or_else(|| "monolithic".to_string(), |t| format!("topology {t}"));
         let _ = writeln!(
             out,
-            "topology {} ({} interleave), {} shards",
-            self.topology,
+            "{shape} ({} interleave), {} shards",
             self.interleave,
             self.shards.len()
         );
@@ -85,51 +70,77 @@ impl ShardedRun {
             let _ = writeln!(
                 out,
                 "  shard {i}: {} retired, {} writes, {} reads, end {:.1} us",
-                r.cores.iter().map(|c| c.retired).sum::<u64>(),
+                retired(r),
                 r.mem.data_writes,
                 r.mem.demand_reads,
                 r.end.as_ps() as f64 / 1e6
             );
         }
+        let m = self.merged();
         let _ = writeln!(
             out,
             "  merged: {} writes, {} reads, {:.1} nJ, end {:.1} us, {} kernel events",
-            self.mem.data_writes,
-            self.mem.demand_reads,
-            self.energy.total_pj() / 1000.0,
-            self.end.as_ps() as f64 / 1e6,
-            self.events.total()
+            m.mem.data_writes,
+            m.mem.demand_reads,
+            m.energy.total_pj() / 1000.0,
+            m.end.as_ps() as f64 / 1e6,
+            m.events.total()
         );
-        if let Some(d) = self.digest {
-            let _ = writeln!(out, "  merged trace digest: {d} ({} records)", self.records);
+        if let Some(t) = &m.trace {
+            let _ = writeln!(
+                out,
+                "  merged trace digest: {} ({} records)",
+                t.digest, t.records
+            );
         }
         out
     }
 }
 
-/// Runs the sharded topology described by `cfg`: one independent
-/// event-kernel simulation per channel, fanned out on `runner` and folded
-/// in shard order.
-///
-/// # Panics
-///
-/// Panics if `cfg.topology` is `None`: a monolithic config belongs to
-/// [`crate::config::run_sim`].
-pub fn run_sharded(
+/// Instructions retired over every core of `r`.
+fn retired(r: &RunResult) -> u64 {
+    r.cores.iter().map(|c| c.retired).sum()
+}
+
+/// The one simulate step, and the only place that picks a run's geometry
+/// and shard ids. A monolithic config is one run over
+/// `Geometry::default()` with unsalted seeds and no `ShardTag`, inline on
+/// the caller's thread. A topology fans its `t.shards()` salted
+/// one-channel slices out on `runner`, returned in shard order.
+fn simulate(
     cfg: &SimConfig,
     ecfg: &ExperimentConfig,
     tables: &Tables,
     runner: &Runner,
-) -> ShardedRun {
-    let topology = cfg
-        .topology
-        // lint: allow(panic-policy) — entry-point contract: mixing the monolithic and sharded paths is a caller bug, documented under # Panics
-        .expect("run_sharded requires a topology; monolithic configs go through run_sim");
+) -> (Vec<RunResult>, RunnerStats) {
+    let Some(topology) = cfg.topology else {
+        let lone = builder_for(cfg, ecfg, tables, Geometry::default(), None).run();
+        return (vec![lone], RunnerStats::default());
+    };
     let shard_geometry = topology.shard_geometry(&Geometry::default());
-    let (shards, stats) = runner.run_jobs(topology.shards(), |s| {
+    runner.run_jobs(topology.shards(), |s| {
         builder_for(cfg, ecfg, tables, shard_geometry.clone(), Some(s as u32)).run()
-    });
+    })
+}
 
+/// The one shard fold, shared by [`run_sim`] and [`ShardedRun::merged`].
+///
+/// A monolithic run is its own fold: the lone result comes back
+/// unchanged. Otherwise the shards fold in shard order:
+///
+/// * `cores` concatenate; `mem`, `events`, `read_histogram`, `faults`,
+///   `coding` and `service` merge through their [`Mergeable`] impls;
+///   `energy` sums and `end` is the slowest shard's;
+/// * the trace, when every shard traced, carries `merge_digests` over
+///   the shard digests plus the summed record counts and merged totals;
+///   its per-component parts stay on the shards;
+/// * `cache_hit`, `fnw`, `cw_trace` and `wear` describe one controller
+///   and do not fold, so they are `None`: read them per shard.
+fn fold_shards(topology: Option<Topology>, shards: Cow<'_, [RunResult]>) -> RunResult {
+    if topology.is_none() && shards.len() == 1 {
+        return shards.into_owned().swap_remove(0);
+    }
+    let mut cores = Vec::new();
     let mut mem = MemStats::default();
     let mut events = EventCounts::default();
     let mut energy = EnergyBreakdown::default();
@@ -138,9 +149,11 @@ pub fn run_sharded(
     let mut faults: Option<FaultStats> = None;
     let mut coding: Option<CodingStats> = None;
     let mut service: Option<ServiceStats> = None;
-    let mut records = 0;
+    let mut totals = TraceTotals::default();
+    let (mut records, mut dropped) = (0u64, 0u64);
     let mut shard_digests = Vec::with_capacity(shards.len());
-    for r in &shards {
+    for r in shards.iter() {
+        cores.extend_from_slice(&r.cores);
         mem.merge_from(&r.mem);
         events.merge_from(&r.events);
         energy.read_pj += r.energy.read_pj;
@@ -148,7 +161,7 @@ pub fn run_sharded(
         end = end.max(r.end);
         read_histogram.merge_from(&r.read_histogram);
         if let Some(f) = &r.faults {
-            faults.get_or_insert_with(FaultStats::default).merge(f);
+            faults.get_or_insert_with(FaultStats::default).merge_from(f);
         }
         if let Some(c) = &r.coding {
             coding
@@ -161,29 +174,66 @@ pub fn run_sharded(
                 .merge_from(s);
         }
         if let Some(t) = &r.trace {
-            records += t.records;
+            totals.merge_from(&t.totals);
+            records = records.saturating_add(t.records);
+            dropped = dropped.saturating_add(t.dropped);
             shard_digests.push(t.digest);
         }
     }
-    // All shards share one tracing flag, so a partial digest set can only
-    // mean a logic error; fold only when complete.
-    let digest =
-        (cfg.trace && shard_digests.len() == shards.len()).then(|| merge_digests(shard_digests));
-
-    ShardedRun {
-        topology,
-        interleave: cfg.interleave,
-        shards,
+    // All shards share one tracing flag, so either every shard traced or
+    // none did.
+    let trace = (shard_digests.len() == shards.len()).then(|| Trace {
+        parts: Vec::new(),
+        totals,
+        records,
+        dropped,
+        digest: merge_digests(shard_digests),
+    });
+    RunResult {
+        // Every shard ran the config's scheme (a topology has at least one).
+        scheme: shards.first().map_or(Scheme::Baseline, |r| r.scheme),
+        cores,
         mem,
-        events,
         energy,
         end,
+        cw_trace: None,
+        cache_hit: None,
+        fnw: None,
         read_histogram,
+        wear: None,
         faults,
         coding,
+        events,
+        trace,
         service,
-        digest,
-        records,
+    }
+}
+
+/// Runs the simulation described by `cfg` and returns its folded result.
+///
+/// A monolithic config returns its lone run; a topology config runs its
+/// shards sequentially and returns their fold ([`ShardedRun::merged`]
+/// at any `--jobs`). Use [`run_sharded`] to fan shards out on a runner or
+/// to read per-shard results.
+pub fn run_sim(cfg: &SimConfig, ecfg: &ExperimentConfig, tables: &Tables) -> RunResult {
+    let (shards, _) = simulate(cfg, ecfg, tables, &Runner::sequential());
+    fold_shards(cfg.topology, Cow::Owned(shards))
+}
+
+/// Runs the simulation described by `cfg` and keeps its per-shard
+/// results: one per channel of a topology, fanned out on `runner`, or
+/// the lone run of a monolithic config.
+pub fn run_sharded(
+    cfg: &SimConfig,
+    ecfg: &ExperimentConfig,
+    tables: &Tables,
+    runner: &Runner,
+) -> ShardedRun {
+    let (shards, stats) = simulate(cfg, ecfg, tables, runner);
+    ShardedRun {
+        topology: cfg.topology,
+        interleave: cfg.interleave,
+        shards,
         stats,
     }
 }
@@ -192,7 +242,7 @@ pub fn run_sharded(
 mod tests {
     use super::*;
     use crate::experiments::Workload;
-    use crate::scheme::Scheme;
+    use std::sync::Arc;
 
     fn sharded_cfg(channels: usize) -> SimConfig {
         SimConfig::builder()
@@ -210,17 +260,81 @@ mod tests {
         }
     }
 
+    /// Everything a folded result carries, rendered for equality checks.
+    fn fingerprint(r: &RunResult) -> String {
+        let t = r
+            .trace
+            .as_ref()
+            .map(|t| (t.digest, t.records, t.dropped, t.totals));
+        format!(
+            "{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{t:?}",
+            r.summary(),
+            r.mem,
+            r.events,
+            r.end,
+            r.read_histogram,
+            r.faults,
+            r.coding,
+            r.service
+        )
+    }
+
     #[test]
-    #[should_panic(expected = "requires a topology")]
-    fn run_sharded_rejects_monolithic_configs() {
+    fn a_monolithic_config_runs_as_one_unsalted_shard() {
         let ecfg = tiny_ecfg();
         let tables = ecfg.tables();
-        run_sharded(
-            &SimConfig::new(Scheme::Baseline, Workload::Single("astar")),
-            &ecfg,
-            &tables,
-            &Runner::sequential(),
-        );
+        let cfg = SimConfig::builder()
+            .scheme(Scheme::LadderEst)
+            .workload(Workload::Single("astar"))
+            .trace(true)
+            .build();
+        let lone = run_sim(&cfg, &ecfg, &tables);
+        let run = run_sharded(&cfg, &ecfg, &tables, &Runner::with_jobs(4));
+        assert_eq!(run.topology, None);
+        assert_eq!(run.shards.len(), 1);
+        assert_eq!(fingerprint(&run.shards[0]), fingerprint(&lone));
+        assert_eq!(fingerprint(&run.merged()), fingerprint(&lone));
+        // Unsalted and untagged: no ShardTag record opens the stream.
+        let t = lone.trace.as_ref().expect("tracing on");
+        assert_eq!(t.totals.shard_tags, 0);
+        assert!(!t.parts.is_empty());
+        assert!(run.summary().starts_with("monolithic"));
+    }
+
+    #[test]
+    fn run_sim_of_a_topology_is_the_merged_sharded_run_at_any_jobs() {
+        let ecfg = tiny_ecfg();
+        let tables = ecfg.tables();
+        let cfg = sharded_cfg(2);
+        let folded = fingerprint(&run_sim(&cfg, &ecfg, &tables));
+        for jobs in [1, 4] {
+            let run = run_sharded(&cfg, &ecfg, &tables, &Runner::with_jobs(jobs));
+            assert_eq!(fingerprint(&run.merged()), folded, "--jobs {jobs}");
+        }
+    }
+
+    #[test]
+    fn run_configs_mixing_shapes_is_jobs_invariant() {
+        let ecfg = tiny_ecfg();
+        let tables = Arc::new(ecfg.tables());
+        let configs = [
+            SimConfig::new(Scheme::Baseline, Workload::Single("astar")),
+            sharded_cfg(2),
+            SimConfig::builder()
+                .scheme(Scheme::LadderEst)
+                .trace(true)
+                .build(),
+            sharded_cfg(1),
+        ];
+        let render = |jobs| {
+            let (results, _) = Runner::with_jobs(jobs).run_configs(&ecfg, &tables, &configs);
+            results.iter().map(fingerprint).collect::<Vec<_>>()
+        };
+        let seq = render(1);
+        assert_eq!(seq.len(), configs.len());
+        assert_eq!(seq, render(4));
+        // A 1x2 topology is a salted shard, not the monolithic run.
+        assert_ne!(seq[2], seq[3]);
     }
 
     #[test]
@@ -235,14 +349,20 @@ mod tests {
             run.shards[1].trace.as_ref().map(|t| t.digest)
         );
         // The folds cover every shard.
+        let merged = run.merged();
         let writes: u64 = run.shards.iter().map(|r| r.mem.data_writes).sum();
-        assert_eq!(run.mem.data_writes, writes);
+        assert_eq!(merged.mem.data_writes, writes);
         assert_eq!(
-            run.end,
+            merged.end,
             run.shards.iter().map(|r| r.end).max().expect("two shards")
         );
-        assert!(run.digest.is_some());
-        assert!(run.records > 0);
+        assert_eq!(
+            retired(&merged),
+            run.shards.iter().map(retired).sum::<u64>()
+        );
+        assert!(merged.trace.as_ref().is_some_and(|t| t.records > 0));
+        // Per-controller quantities do not fold.
+        assert!(merged.cache_hit.is_none() && merged.fnw.is_none());
         let s = run.summary();
         assert!(s.contains("topology 2x2"), "{s}");
         assert!(s.contains("merged trace digest"), "{s}");
@@ -260,8 +380,8 @@ mod tests {
             .build();
         let ecfg = tiny_ecfg();
         let tables = ecfg.tables();
-        let seq = run_sharded(&cfg, &ecfg, &tables, &Runner::sequential());
-        let par = run_sharded(&cfg, &ecfg, &tables, &Runner::with_jobs(4));
+        let seq = run_sharded(&cfg, &ecfg, &tables, &Runner::sequential()).merged();
+        let par = run_sharded(&cfg, &ecfg, &tables, &Runner::with_jobs(4)).merged();
         let svc = seq.service.as_ref().expect("service mode");
         // 4 shards × 800 requests, all serviced.
         assert_eq!(svc.arrivals, 4 * 800);
@@ -278,11 +398,9 @@ mod tests {
     fn merged_digest_is_jobs_invariant() {
         let ecfg = tiny_ecfg();
         let tables = ecfg.tables();
-        let seq = run_sharded(&sharded_cfg(4), &ecfg, &tables, &Runner::sequential());
-        let par = run_sharded(&sharded_cfg(4), &ecfg, &tables, &Runner::with_jobs(4));
-        assert_eq!(seq.digest, par.digest);
-        assert_eq!(seq.mem.data_writes, par.mem.data_writes);
-        assert_eq!(seq.end, par.end);
+        let seq = run_sharded(&sharded_cfg(4), &ecfg, &tables, &Runner::sequential()).merged();
+        let par = run_sharded(&sharded_cfg(4), &ecfg, &tables, &Runner::with_jobs(4)).merged();
+        assert_eq!(fingerprint(&seq), fingerprint(&par));
     }
 
     #[test]

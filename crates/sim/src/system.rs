@@ -472,14 +472,14 @@ impl SystemBuilder {
                     ..TenantGroup::default()
                 })
                 .collect();
-            ServiceState {
+            Box::new(ServiceState {
                 gen,
                 next: None,
                 pending: VecDeque::new(),
                 inflight: Vec::new(),
                 tenants,
                 stats: ServiceStats::default(),
-            }
+            })
         });
         let mut sim = EventKernel {
             mc,
@@ -565,7 +565,7 @@ impl SystemBuilder {
             faults: fault_model.map(|(shared, _)| shared.stats()),
             events: sim.counts,
             trace,
-            service: sim.service.map(ServiceState::into_stats),
+            service: sim.service.map(|svc| svc.into_stats()),
         }
     }
 }
@@ -714,7 +714,9 @@ struct EventKernel {
     counts: EventCounts,
     recorder: TraceRecorder,
     /// Open-loop service mode, when a service stream drives the run.
-    service: Option<ServiceState>,
+    /// Boxed so `drain_service` can take it out of the kernel and put it
+    /// back by moving a pointer.
+    service: Option<Box<ServiceState>>,
 }
 
 /// Kernel-side state of the open-loop service stream.
@@ -916,52 +918,36 @@ impl EventKernel {
     /// order, stopping at the first the controller cannot accept (FIFO —
     /// later requests must not overtake a blocked head-of-line request).
     fn drain_service(&mut self, now: Instant) {
-        loop {
-            let Some((arrived, tenant, op)) =
-                self.service.as_mut().and_then(|s| s.pending.pop_front())
-            else {
-                return;
-            };
-            match op {
-                TraceOp::Read { addr, critical } => match self.admit_read(addr, now) {
+        let Some(mut svc) = self.service.take() else {
+            return;
+        };
+        while let Some((arrived, tenant, op)) = svc.pending.front() {
+            let accepted = match op {
+                TraceOp::Read { addr, .. } => match self.admit_read(*addr, now) {
                     Some(id) => {
-                        if let Some(svc) = &mut self.service {
-                            svc.inflight.push((id.0, (tenant, arrived)));
-                        }
+                        svc.inflight.push((id.0, (*tenant, *arrived)));
+                        true
                     }
-                    None => {
-                        if let Some(svc) = &mut self.service {
-                            svc.pending.push_front((
-                                arrived,
-                                tenant,
-                                TraceOp::Read { addr, critical },
-                            ));
-                        }
-                        return;
-                    }
+                    None => false,
                 },
+                // Same admission as the core write path: a rejected write
+                // stays at the head and its retry recomputes everything,
+                // like a re-driven core does.
                 TraceOp::Write { addr, data } => {
-                    // Same admission as the core write path; on rejection
-                    // requeue the original op so the retry recomputes
-                    // everything, like a re-driven core does.
-                    if self.admit_write(addr, &data, now) {
-                        if let Some(svc) = &mut self.service {
-                            svc.stats.writes_accepted += 1;
-                            svc.tenants[tenant].writes += 1;
-                        }
-                    } else {
-                        if let Some(svc) = &mut self.service {
-                            svc.pending.push_front((
-                                arrived,
-                                tenant,
-                                TraceOp::Write { addr, data },
-                            ));
-                        }
-                        return;
+                    let accepted = self.admit_write(*addr, data, now);
+                    if accepted {
+                        svc.stats.writes_accepted += 1;
+                        svc.tenants[*tenant].writes += 1;
                     }
+                    accepted
                 }
+            };
+            if !accepted {
+                break;
             }
+            svc.pending.pop_front();
         }
+        self.service = Some(svc);
     }
 
     /// Runs the controller at `now`, then retries everything a freed queue
@@ -1272,8 +1258,9 @@ mod tests {
 #[cfg(test)]
 mod summary_tests {
     use super::*;
-    use crate::config::{run_sim, SimConfig};
+    use crate::config::SimConfig;
     use crate::experiments::{ExperimentConfig, Workload};
+    use crate::shard::run_sim;
 
     #[test]
     fn summary_mentions_every_section() {

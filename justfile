@@ -45,13 +45,11 @@ regen-golden:
     GOLDEN_REGEN=1 cargo test -q --offline --test service_determinism -- --nocapture
     GOLDEN_REGEN=1 cargo test -q --offline --test lifetime_determinism -- --nocapture
 
-# Sharded scale-out smoke: the interleave sweep (merged trace digests
-# included) must be bit-identical across worker counts.
+# Sharded scale-out smoke: the interleave, service and campaign sweeps
+# (merged trace digests included) must be bit-identical across worker
+# counts.
 shards:
-    cargo build --release -p ladder-bench --offline
-    a=$$(./target/release/interleave --quick --topology 4x2 --jobs 1 2>/dev/null); \
-    b=$$(./target/release/interleave --quick --topology 4x2 --jobs 4 2>/dev/null); \
-    [ "$$a" = "$$b" ] && echo "shards: jobs-invariant OK"
+    cargo test -q --offline -p ladder-bench --test jobs_invariance
     cargo test -q --offline --test shard_determinism
 
 # Regenerate the paper's main evaluation (set jobs, e.g. `just main-eval 8`).

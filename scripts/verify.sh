@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gate: the tier-1 build and tests, rustfmt, clippy, plus
 # what `cargo test` does not run (the bench allocation gate, a quick-mode
-# smoke run of every figure/table binary, the shell --jobs diffs and the
-# perfbench smoke). The workspace is fully path-local, so everything runs
+# smoke run of every figure/table binary and the perfbench smoke). The workspace is fully path-local, so everything runs
 # with --offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -58,49 +57,8 @@ grep -q '"traceEvents"' "$trace_out"
 grep -q '"displayTimeUnit"' "$trace_out"
 rm -f "$trace_out"
 
-# Sharded scale-out gate: the interleave sweep's whole output (per-cell
-# merged trace digests included) must be bit-identical across worker
-# counts.
-echo "==> shard smoke: --topology 4x2 jobs-invariance"
-shard_seq=$(./target/release/interleave --quick --topology 4x2 --jobs 1 2>/dev/null)
-shard_par=$(./target/release/interleave --quick --topology 4x2 --jobs 4 2>/dev/null)
-if [ "$shard_seq" != "$shard_par" ]; then
-    echo "error: sharded interleave sweep diverged between --jobs 1 and --jobs 4" >&2
-    exit 1
-fi
-echo "$shard_seq" | grep -q 'digest' || {
-    echo "error: interleave sweep emitted no merged digests" >&2
-    exit 1
-}
-
-# Open-loop service gate: the SLO sweep (per-tenant tail quantiles and
-# the merged service-trace digest) must be bit-identical across worker
-# counts.
-echo "==> service smoke: open-loop SLO sweep jobs-invariance"
-svc_seq=$(./target/release/service --quick --topology 2x2 --jobs 1 2>/dev/null)
-svc_par=$(./target/release/service --quick --topology 2x2 --jobs 4 2>/dev/null)
-if [ "$svc_seq" != "$svc_par" ]; then
-    echo "error: open-loop service sweep diverged between --jobs 1 and --jobs 4" >&2
-    exit 1
-fi
-echo "$svc_seq" | grep -q 'p99/ns' || {
-    echo "error: service sweep emitted no SLO reports" >&2
-    exit 1
-}
-
-# Lifetime-campaign gate: the device-lifetime sweep CSV (skew × BER ×
-# remap backend × code scheme) must be bit-identical across worker
-# counts.
-echo "==> lifetime smoke: campaign CSV jobs-invariance"
-camp_seq=$(./target/release/lifetime_campaign --quick --jobs 1 2>/dev/null)
-camp_par=$(./target/release/lifetime_campaign --quick --jobs 4 2>/dev/null)
-if [ "$camp_seq" != "$camp_par" ]; then
-    echo "error: lifetime campaign diverged between --jobs 1 and --jobs 4" >&2
-    exit 1
-fi
-echo "$camp_seq" | grep -q 'device_years' || {
-    echo "error: lifetime campaign emitted no CSV header" >&2
-    exit 1
-}
+# The --jobs 1 vs --jobs 4 stdout diffs of the interleave, service and
+# lifetime_campaign binaries run inside `cargo test`
+# (crates/bench/tests/jobs_invariance.rs).
 
 echo "verify: OK"

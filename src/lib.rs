@@ -48,16 +48,16 @@
 //! [`sim::SimConfig`] jobs across threads while keeping output
 //! byte-identical to a sequential run. A multi-channel [`sim::Topology`]
 //! (`--topology CxR`) shards a run into one controller and event stream
-//! per channel via [`sim::run_sharded`], folded bit-reproducibly at any
-//! worker count.
+//! per channel; [`sim::run_sim`] and [`sim::run_sharded`] accept every
+//! config and fold the shards bit-reproducibly at any worker count.
 
 /// The shared `(ladder, blp)` timing-table bundle, re-exported at the top
 /// level because nearly every entry point takes one.
 pub use ladder_memctrl::Tables;
 /// Per-event-kind dispatch counters of the discrete-event kernel.
 pub use ladder_sim::EventCounts;
-/// The topology-aware run API: builder-constructed configs, the
-/// monolithic entry point, and the sharded multi-channel runner.
+/// The topology-aware run API: builder-constructed configs, the folded
+/// run and the per-shard run.
 pub use ladder_sim::{run_sharded, run_sim, Interleave, ShardedRun, SimConfig, Topology};
 /// The parallel experiment runner and its job/statistics types.
 pub use ladder_sim::{AloneIpcCache, Runner, RunnerStats};

@@ -13,7 +13,7 @@
 use ladder::faults::FaultConfig;
 use ladder::sim::experiments::{lifetime_campaign, CampaignSpec, ExperimentConfig, Workload};
 use ladder::sim::{
-    run_sharded, run_sim, CodingKind, RemapKind, Runner, Scheme, ServiceConfig, SimConfig, Topology,
+    run_sharded, CodingKind, RemapKind, Runner, Scheme, ServiceConfig, SimConfig, Topology,
 };
 use std::path::PathBuf;
 
@@ -31,21 +31,17 @@ fn sim_config(coding: CodingKind, remap: RemapKind, sharded: bool) -> SimConfig 
         .zipf_theta(0.99)
         .requests(600)
         .build();
-    let b = SimConfig::builder()
+    SimConfig::builder()
         .scheme(Scheme::LadderEst)
         .workload(Workload::Single("astar"))
+        .topology(sharded.then(|| Topology::new(2, 2).expect("static topology")))
         .service(service)
         .faults(FaultConfig::with_ber(lifetime_ecfg().seed, 1e-3))
         .coding(coding)
         .remap(remap)
         .track_wear(true)
-        .trace(true);
-    if sharded {
-        b.topology(Topology::new(2, 2).expect("static topology"))
-            .build()
-    } else {
-        b.build()
-    }
+        .trace(true)
+        .build()
 }
 
 /// One line per sweep cell: merged digest plus the wear, fault and
@@ -58,38 +54,21 @@ fn lifetime_digest(jobs: usize) -> String {
     for coding in CodingKind::ALL {
         for remap in RemapKind::ALL {
             for sharded in [false, true] {
-                let cfg = sim_config(coding, remap, sharded);
-                let (digest, end, wear, coding_stats, faults) = if sharded {
-                    let run = run_sharded(&cfg, &ecfg, &tables, &runner);
-                    let wear = run
-                        .shards
-                        .iter()
-                        .map(|r| {
-                            r.wear
-                                .as_ref()
-                                .expect("wear tracking on")
-                                .with(|w| (w.total_writes(), w.worst_line_writes()))
-                        })
-                        .fold((0, 0), |(t, w), (st, sw)| (t + st, w.max(sw)));
-                    (run.digest, run.end, wear, run.coding, run.faults)
-                } else {
-                    let r = run_sim(&cfg, &ecfg, &tables);
-                    let wear = r
-                        .wear
-                        .as_ref()
-                        .expect("wear tracking on")
-                        .with(|w| (w.total_writes(), w.worst_line_writes()));
-                    (
-                        r.trace.as_ref().map(|t| t.digest),
-                        r.end,
-                        wear,
-                        r.coding,
-                        r.faults,
-                    )
-                };
-                let digest = digest.expect("tracing was requested");
-                let c = coding_stats.expect("fault injection returns coding stats");
-                let f = faults.expect("fault injection returns fault stats");
+                let run = run_sharded(&sim_config(coding, remap, sharded), &ecfg, &tables, &runner);
+                let wear = run
+                    .shards
+                    .iter()
+                    .map(|r| {
+                        r.wear
+                            .as_ref()
+                            .expect("wear tracking on")
+                            .with(|w| (w.total_writes(), w.worst_line_writes()))
+                    })
+                    .fold((0, 0), |(t, w), (st, sw)| (t + st, w.max(sw)));
+                let r = run.merged();
+                let digest = r.trace.expect("tracing was requested").digest;
+                let c = r.coding.expect("fault injection returns coding stats");
+                let f = r.faults.expect("fault injection returns fault stats");
                 out.push_str(&format!(
                     "{}/{}/{} digest={} writes={} worst={} corrected={} \
                      uncorrectable={} remaps={} wa={} transient={} end={}\n",
@@ -104,7 +83,7 @@ fn lifetime_digest(jobs: usize) -> String {
                     c.remaps,
                     c.wa_millionths,
                     f.transient_bit_errors,
-                    end.as_ps(),
+                    r.end.as_ps(),
                 ));
             }
         }

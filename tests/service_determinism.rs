@@ -32,17 +32,13 @@ fn sim_config(arrival: ArrivalKind, sharded: bool) -> SimConfig {
         .load(6.0)
         .requests(3_000)
         .build();
-    let b = SimConfig::builder()
+    SimConfig::builder()
         .scheme(Scheme::LadderEst)
         .workload(Workload::Single("astar"))
+        .topology(sharded.then(|| Topology::new(2, 2).expect("static topology")))
         .service(service)
-        .trace(true);
-    if sharded {
-        b.topology(Topology::new(2, 2).expect("static topology"))
-            .build()
-    } else {
-        b.build()
-    }
+        .trace(true)
+        .build()
 }
 
 /// One line per sweep cell: merged digest, headline service counters,
@@ -54,17 +50,10 @@ fn service_digest(jobs: usize) -> String {
     let mut out = String::new();
     for arrival in ArrivalKind::ALL {
         for sharded in [false, true] {
-            let cfg = sim_config(arrival, sharded);
-            let (service, digest, end) = if sharded {
-                let run = run_sharded(&cfg, &ecfg, &tables, &runner);
-                (run.service, run.digest, run.end)
-            } else {
-                let r = run_sim(&cfg, &ecfg, &tables);
-                (r.service, r.trace.as_ref().map(|t| t.digest), r.end)
-            };
-            let svc = service.expect("service mode returns stats");
-            let digest = digest.expect("tracing was requested");
-            let report = SloReport::build(&svc.tenants, end.duration_since(Instant::ZERO));
+            let r = run_sharded(&sim_config(arrival, sharded), &ecfg, &tables, &runner).merged();
+            let svc = r.service.expect("service mode returns stats");
+            let digest = r.trace.expect("tracing was requested").digest;
+            let report = SloReport::build(&svc.tenants, r.end.duration_since(Instant::ZERO));
             let tails: Vec<String> = report
                 .rows
                 .iter()
@@ -79,7 +68,7 @@ fn service_digest(jobs: usize) -> String {
                 svc.reads_completed,
                 svc.writes_accepted,
                 svc.deferred,
-                end.as_ps(),
+                r.end.as_ps(),
                 tails.join(" "),
             ));
         }

@@ -48,13 +48,14 @@ fn sharded_digest(jobs: usize) -> String {
             &cfg,
             &tables,
             &Runner::with_jobs(jobs),
-        );
-        let digest = run.digest.expect("tracing was requested on every shard");
+        )
+        .merged();
+        let trace = run.trace.expect("tracing was requested on every shard");
         out.push_str(&format!(
             "{}x2 digest={} records={} writes={} reads={} events={} end={}\n",
             channels,
-            digest,
-            run.records,
+            trace.digest,
+            trace.records,
             run.mem.data_writes,
             run.mem.demand_reads,
             run.events.total(),
@@ -108,15 +109,16 @@ fn shards_differ_but_totals_fold_exactly() {
         .collect();
     assert_ne!(digests[0], digests[1], "shards simulated identical streams");
     // The merged fold covers every shard exactly once.
+    let merged = run.merged();
     assert_eq!(
-        run.records,
+        merged.trace.expect("traced").records,
         run.shards
             .iter()
             .map(|r| r.trace.as_ref().expect("traced").records)
             .sum::<u64>()
     );
     assert_eq!(
-        run.events.total(),
+        merged.events.total(),
         run.shards.iter().map(|r| r.events.total()).sum::<u64>()
     );
 }
