@@ -77,15 +77,22 @@ impl CodingStats {
 
 impl Mergeable for CodingStats {
     fn merge_from(&mut self, other: &Self) {
+        let CodingStats {
+            resolves,
+            corrected_bits,
+            uncorrectable,
+            remaps,
+            wa_millionths,
+        } = other;
         for i in 0..CODING_BUCKETS {
-            self.resolves[i] = self.resolves[i].saturating_add(other.resolves[i]);
-            self.corrected_bits[i] = self.corrected_bits[i].saturating_add(other.corrected_bits[i]);
-            self.uncorrectable[i] = self.uncorrectable[i].saturating_add(other.uncorrectable[i]);
+            self.resolves[i].merge_from(&resolves[i]);
+            self.corrected_bits[i].merge_from(&corrected_bits[i]);
+            self.uncorrectable[i].merge_from(&uncorrectable[i]);
         }
-        self.remaps = self.remaps.saturating_add(other.remaps);
+        self.remaps.merge_from(remaps);
         // Scheme property, identical across shards: max keeps the fold
         // associative/commutative with the all-zero identity.
-        self.wa_millionths = self.wa_millionths.max(other.wa_millionths);
+        self.wa_millionths = self.wa_millionths.max(*wa_millionths);
     }
 }
 

@@ -25,6 +25,7 @@ use crate::FaultConfig;
 use ladder_coding::{CodeScheme, CodingKind, CodingStats, FlatEcc, LocationChannel};
 use ladder_memctrl::{FaultInjector, Resolution};
 use ladder_reram::{AddressMap, LineAddr, LineData, LineStore, Picos, LINE_BYTES};
+use ladder_trace::Mergeable;
 use ladder_wear::{RemapBackend, SharedRetirePool, WearMap};
 use ladder_xbar::TimingTable;
 use std::collections::BTreeMap;
@@ -84,26 +85,33 @@ impl FaultStats {
         )
     }
 
-    /// Accumulates another model's counters into this one.
+    /// Accumulates another model's counters into this one (the
+    /// [`Mergeable`] fold).
     pub fn merge(&mut self, other: &FaultStats) {
-        self.data_writes = self.data_writes.saturating_add(other.data_writes);
-        self.transient_bit_errors = self
-            .transient_bit_errors
-            .saturating_add(other.transient_bit_errors);
-        self.stuck_cells = self.stuck_cells.saturating_add(other.stuck_cells);
-        self.corrected_bits = self.corrected_bits.saturating_add(other.corrected_bits);
-        self.uncorrectable_lines = self
-            .uncorrectable_lines
-            .saturating_add(other.uncorrectable_lines);
-        self.data_loss_bits = self.data_loss_bits.saturating_add(other.data_loss_bits);
-        self.retired_pages = self.retired_pages.saturating_add(other.retired_pages);
-        self.retire_exhausted = self.retire_exhausted.saturating_add(other.retire_exhausted);
+        self.merge_from(other);
     }
 }
 
-impl ladder_trace::Mergeable for FaultStats {
+impl Mergeable for FaultStats {
     fn merge_from(&mut self, other: &Self) {
-        self.merge(other);
+        let FaultStats {
+            data_writes,
+            transient_bit_errors,
+            stuck_cells,
+            corrected_bits,
+            uncorrectable_lines,
+            data_loss_bits,
+            retired_pages,
+            retire_exhausted,
+        } = other;
+        self.data_writes.merge_from(data_writes);
+        self.transient_bit_errors.merge_from(transient_bit_errors);
+        self.stuck_cells.merge_from(stuck_cells);
+        self.corrected_bits.merge_from(corrected_bits);
+        self.uncorrectable_lines.merge_from(uncorrectable_lines);
+        self.data_loss_bits.merge_from(data_loss_bits);
+        self.retired_pages.merge_from(retired_pages);
+        self.retire_exhausted.merge_from(retire_exhausted);
     }
 }
 

@@ -1,19 +1,19 @@
 //! Pass 1 of the two-pass analyzer: a lightweight workspace symbol index.
 //!
-//! The semantic rules ([`crate::semantic`]) need to see *across* files —
-//! does a reference kernel have a fast twin somewhere, is a `*Stats`
-//! struct folded anywhere — so this module walks every file's token
+//! The `fast-ref-twin` rule ([`crate::semantic`]) needs to see *across*
+//! files — does a reference kernel have a fast twin somewhere, does an
+//! equivalence test mention it — so this module walks every file's token
 //! stream once and records just enough structure for those questions:
-//! functions (with a normalized signature, module path and surrounding
-//! `impl`), structs with their typed fields, `impl Trait for Type`
-//! headers, and the set of identifiers each file mentions. It is *not* a parser: it recognizes item heads by keyword
+//! functions (with a normalized signature and module path, including
+//! those inside `impl` blocks) and the set of identifiers each file
+//! mentions. It is *not* a parser: it recognizes item heads by keyword
 //! and matches braces, which is sound for the workspace's rustfmt'd,
 //! compiling code and keeps the analyzer dependency-free (no `syn`).
 //!
 //! Determinism: the index is a pure function of the *set* of files —
 //! inputs are sorted by path before the walk, so a shuffled file list
 //! produces a bit-identical index (property-tested in
-//! `tests/index_order.rs`).
+//! `tests/index_stability.rs`).
 
 use crate::lexer::{lex, Lexed, Token, TokenKind};
 use crate::rules::{in_spans, test_spans, SourceUnit, Span};
@@ -36,45 +36,8 @@ pub struct FnItem {
     pub sig: String,
     /// Enclosing `mod` names, outermost first (file-relative).
     pub modules: Vec<String>,
-    /// The `impl` target type, when defined inside an `impl` block.
-    pub impl_type: Option<String>,
-    /// The `impl` trait (last path segment), for trait impls.
-    pub trait_name: Option<String>,
     /// Whether the item is `pub` (any visibility qualifier counts).
     pub is_pub: bool,
-    /// Token-index range of the body braces in the file's token stream
-    /// (`open..=close`), `None` for bodyless declarations.
-    pub body: Option<(usize, usize)>,
-}
-
-/// One indexed `struct` with named fields.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StructItem {
-    /// Workspace-relative path of the defining file.
-    pub file: String,
-    /// 1-based line of the struct's name token.
-    pub line: usize,
-    /// 1-based column of the struct's name token.
-    pub col: usize,
-    /// The struct's name.
-    pub name: String,
-    /// `(field, normalized type)` pairs, in declaration order. Tuple and
-    /// unit structs index with no fields.
-    pub fields: Vec<(String, String)>,
-}
-
-/// One indexed `impl` header.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ImplItem {
-    /// Workspace-relative path of the defining file.
-    pub file: String,
-    /// 1-based line of the `impl` keyword.
-    pub line: usize,
-    /// The implemented trait's last path segment (`ladder_trace::Mergeable`
-    /// indexes as `Mergeable`), `None` for inherent impls.
-    pub trait_name: Option<String>,
-    /// The target type's last path segment.
-    pub type_name: String,
 }
 
 /// The cross-file symbol index (pass 1 output).
@@ -82,10 +45,6 @@ pub struct ImplItem {
 pub struct SymbolIndex {
     /// Every non-test `fn`, in (file, position) order.
     pub fns: Vec<FnItem>,
-    /// Every non-test `struct`, in (file, position) order.
-    pub structs: Vec<StructItem>,
-    /// Every non-test `impl` header, in (file, position) order.
-    pub impls: Vec<ImplItem>,
     /// All identifiers each file mentions anywhere (including test spans —
     /// equivalence tests are the point), keyed by path.
     pub file_idents: BTreeMap<String, BTreeSet<String>>,
@@ -106,7 +65,7 @@ impl SymbolIndex {
                 tests: &tests,
                 index: &mut index,
             };
-            walker.walk(0, lexed.tokens.len(), &mut Vec::new(), None);
+            walker.walk(0, lexed.tokens.len(), &mut Vec::new());
             let idents = lexed
                 .tokens
                 .iter()
@@ -127,24 +86,6 @@ impl SymbolIndex {
         let refs: Vec<(&str, &Lexed)> = lexed.iter().map(|(p, l)| (p.as_str(), l)).collect();
         SymbolIndex::build(&refs)
     }
-
-    /// The struct named `name`, if indexed.
-    pub fn struct_named(&self, name: &str) -> Option<&StructItem> {
-        self.structs.iter().find(|s| s.name == name)
-    }
-
-    /// Whether some `impl <trait_name> for <type_name>` exists.
-    pub fn has_trait_impl(&self, trait_name: &str, type_name: &str) -> bool {
-        self.impls
-            .iter()
-            .any(|i| i.trait_name.as_deref() == Some(trait_name) && i.type_name == type_name)
-    }
-}
-
-/// The `impl` context a function is being indexed under.
-struct ImplCtx {
-    type_name: String,
-    trait_name: Option<String>,
 }
 
 struct Walker<'a> {
@@ -157,7 +98,7 @@ struct Walker<'a> {
 impl Walker<'_> {
     /// Walks `tokens[start..end]` recording items, recursing into `mod`
     /// bodies and `impl` blocks. `mods` is the enclosing module stack.
-    fn walk(&mut self, start: usize, end: usize, mods: &mut Vec<String>, imp: Option<&ImplCtx>) {
+    fn walk(&mut self, start: usize, end: usize, mods: &mut Vec<String>) {
         let mut i = start;
         while i < end {
             let t = &self.tokens[i];
@@ -166,10 +107,9 @@ impl Walker<'_> {
                 continue;
             }
             match t.ident() {
-                Some("mod") => i = self.scan_mod(i, end, mods, imp),
+                Some("mod") => i = self.scan_mod(i, end, mods),
                 Some("impl") => i = self.scan_impl(i, end, mods),
-                Some("fn") => i = self.scan_fn(i, end, mods, imp),
-                Some("struct") => i = self.scan_struct(i, end),
+                Some("fn") => i = self.scan_fn(i, end, mods),
                 Some("enum") => i = self.skip_enum(i, end),
                 _ => i += 1,
             }
@@ -182,13 +122,7 @@ impl Walker<'_> {
 
     /// `mod name { ... }` — recurses with the module pushed; `mod name;`
     /// declarations are skipped.
-    fn scan_mod(
-        &mut self,
-        i: usize,
-        end: usize,
-        mods: &mut Vec<String>,
-        imp: Option<&ImplCtx>,
-    ) -> usize {
+    fn scan_mod(&mut self, i: usize, end: usize, mods: &mut Vec<String>) -> usize {
         let Some(name) = self.tokens.get(i + 1).and_then(|t| t.ident()) else {
             return i + 1;
         };
@@ -199,88 +133,45 @@ impl Walker<'_> {
             return open + 1;
         };
         mods.push(name.to_string());
-        self.walk(open + 1, close, mods, imp);
+        self.walk(open + 1, close, mods);
         mods.pop();
         close + 1
     }
 
-    /// `impl<G> [Trait for] Type [where ...] { ... }`.
+    /// `impl<G> [Trait for] Type [where ...] { ... }`: walks the body.
     fn scan_impl(&mut self, i: usize, end: usize, mods: &mut Vec<String>) -> usize {
-        let line = self.tokens[i].line;
+        // The body opens at the first `{` outside the header's generics.
         let mut j = i + 1;
-        if self.tokens.get(j).is_some_and(|t| t.is_punct('<')) {
-            j = self.skip_angles(j, end);
-        }
-        // Collect path-segment idents at angle depth 0 until `{`/`;`,
-        // noting where a top-level `for` splits trait from type.
-        let mut segments: Vec<&str> = Vec::new();
-        let mut trait_end: Option<usize> = None; // index into `segments`
         let mut angle = 0usize;
-        let mut open = None;
         while j < end {
             let t = &self.tokens[j];
+            if t.is_punct('-') && self.tokens.get(j + 1).is_some_and(|t| t.is_punct('>')) {
+                j += 2; // `->` inside an fn-trait bound
+                continue;
+            }
             if t.is_punct('<') {
                 angle += 1;
             } else if t.is_punct('>') && angle > 0 {
                 angle -= 1;
-            } else if t.is_punct('-') && self.tokens.get(j + 1).is_some_and(|t| t.is_punct('>')) {
-                j += 2; // `->` inside an fn-trait bound
-                continue;
-            } else if angle == 0 {
-                if t.is_punct('{') {
-                    open = Some(j);
-                    break;
-                }
-                if t.is_punct(';') {
-                    return j + 1;
-                }
-                match t.ident() {
-                    Some("for") => trait_end = Some(segments.len()),
-                    Some("where") => {
-                        // Type name is settled; scan on for the `{` only.
-                        while j < end && !self.tokens[j].is_punct('{') {
-                            j += 1;
-                        }
-                        continue;
-                    }
-                    Some(id) => segments.push(id),
-                    None => {}
-                }
+            } else if angle == 0 && t.is_punct('{') {
+                break;
+            } else if angle == 0 && t.is_punct(';') {
+                return j + 1;
             }
             j += 1;
         }
-        let Some(open) = open else { return j + 1 };
-        let Some(close) = crate::rules::brace_match(self.tokens, open) else {
-            return open + 1;
-        };
-        let (trait_name, type_name) = match trait_end {
-            Some(k) => (
-                segments[..k].last().map(|s| s.to_string()),
-                segments[k..].last().map(|s| s.to_string()),
-            ),
-            None => (None, segments.last().map(|s| s.to_string())),
-        };
-        let Some(type_name) = type_name else {
-            return close + 1;
-        };
-        if !self.in_test(line) {
-            self.index.impls.push(ImplItem {
-                file: self.file.to_string(),
-                line,
-                trait_name: trait_name.clone(),
-                type_name: type_name.clone(),
-            });
+        if j >= end {
+            return end;
         }
-        let ctx = ImplCtx {
-            type_name,
-            trait_name,
+        let Some(close) = crate::rules::brace_match(self.tokens, j) else {
+            return j + 1;
         };
-        self.walk(open + 1, close, mods, Some(&ctx));
+        self.walk(j + 1, close, mods);
         close + 1
     }
 
     /// `fn name<G>(params) -> Ret [where ...] { body }`.
-    fn scan_fn(&mut self, i: usize, end: usize, mods: &[String], imp: Option<&ImplCtx>) -> usize {
+    fn scan_fn(&mut self, i: usize, end: usize, mods: &[String]) -> usize {
         let Some(name_tok) = self.tokens.get(i + 1) else {
             return i + 1;
         };
@@ -317,7 +208,6 @@ impl Walker<'_> {
         // Return type runs to the body `{`, a `;`, or a `where` clause.
         let mut k = params_close + 1;
         let mut ret_end = k;
-        let mut body = None;
         let mut item_after = end;
         while k < end {
             let t = &self.tokens[k];
@@ -333,9 +223,7 @@ impl Walker<'_> {
                 continue;
             }
             if t.is_punct('{') {
-                let close = crate::rules::brace_match(self.tokens, k);
-                body = close.map(|c| (k, c));
-                item_after = close.map_or(end, |c| c + 1);
+                item_after = crate::rules::brace_match(self.tokens, k).map_or(end, |c| c + 1);
                 break;
             }
             if t.is_punct(';') {
@@ -355,108 +243,10 @@ impl Walker<'_> {
                 name: name.to_string(),
                 sig: sig.trim().to_string(),
                 modules: mods.to_vec(),
-                impl_type: imp.map(|c| c.type_name.clone()),
-                trait_name: imp.and_then(|c| c.trait_name.clone()),
                 is_pub: self.is_pub_before(i),
-                body,
             });
         }
         item_after
-    }
-
-    /// `struct Name<G> { fields }` / tuple / unit struct.
-    fn scan_struct(&mut self, i: usize, end: usize) -> usize {
-        let Some(name_tok) = self.tokens.get(i + 1) else {
-            return i + 1;
-        };
-        let Some(name) = name_tok.ident() else {
-            return i + 1;
-        };
-        let mut j = i + 2;
-        if self.tokens.get(j).is_some_and(|t| t.is_punct('<')) {
-            j = self.skip_angles(j, end);
-        }
-        // `where` clauses may precede the brace.
-        while j < end
-            && !self.tokens[j].is_punct('{')
-            && !self.tokens[j].is_punct('(')
-            && !self.tokens[j].is_punct(';')
-        {
-            j += 1;
-        }
-        let mut fields = Vec::new();
-        let item_after = match self.tokens.get(j) {
-            Some(t) if t.is_punct('{') => {
-                let close = crate::rules::brace_match(self.tokens, j).unwrap_or(end - 1);
-                self.scan_fields(j + 1, close, &mut fields);
-                close + 1
-            }
-            Some(t) if t.is_punct('(') => crate::rules::item_end(self.tokens, j) + 1,
-            _ => j + 1,
-        };
-        if !self.in_test(name_tok.line) {
-            self.index.structs.push(StructItem {
-                file: self.file.to_string(),
-                line: name_tok.line,
-                col: name_tok.col,
-                name: name.to_string(),
-                fields,
-            });
-        }
-        item_after
-    }
-
-    /// Named fields between a struct's braces: `[pub] name: Type,`.
-    fn scan_fields(&mut self, start: usize, end: usize, out: &mut Vec<(String, String)>) {
-        let mut i = start;
-        while i < end {
-            let t = &self.tokens[i];
-            if t.is_punct('#') && self.tokens.get(i + 1).is_some_and(|t| t.is_punct('[')) {
-                i = crate::rules::skip_attr(self.tokens, i);
-                continue;
-            }
-            if t.is_ident("pub") {
-                i += 1;
-                if self.tokens.get(i).is_some_and(|t| t.is_punct('(')) {
-                    // `pub(crate)` and friends.
-                    while i < end && !self.tokens[i].is_punct(')') {
-                        i += 1;
-                    }
-                    i += 1;
-                }
-                continue;
-            }
-            let Some(field) = t.ident() else {
-                i += 1;
-                continue;
-            };
-            if !self.tokens.get(i + 1).is_some_and(|t| t.is_punct(':')) {
-                i += 1;
-                continue;
-            }
-            // Type runs to the next comma at bracket depth 0.
-            let ty_start = i + 2;
-            let mut j = ty_start;
-            let (mut angle, mut paren, mut square) = (0i32, 0i32, 0i32);
-            while j < end {
-                let t = &self.tokens[j];
-                if t.is_punct(',') && angle == 0 && paren == 0 && square == 0 {
-                    break;
-                }
-                match () {
-                    _ if t.is_punct('<') => angle += 1,
-                    _ if t.is_punct('>') => angle -= 1,
-                    _ if t.is_punct('(') => paren += 1,
-                    _ if t.is_punct(')') => paren -= 1,
-                    _ if t.is_punct('[') => square += 1,
-                    _ if t.is_punct(']') => square -= 1,
-                    _ => {}
-                }
-                j += 1;
-            }
-            out.push((field.to_string(), self.normalize(ty_start, j)));
-            i = j + 1;
-        }
     }
 
     /// `enum Name<G> { .. }`: no rule reads variants, so the body is
@@ -590,29 +380,24 @@ mod tests {
     fn indexes_impl_trait_for_type_with_path_qualification() {
         let idx = SymbolIndex::from_units(&[unit(
             "crates/x/src/lib.rs",
-            "impl ladder_trace::Mergeable for RunnerStats {\n    fn merge_from(&mut self, o: &Self) {}\n}\n\
-             impl RunnerStats {\n    fn new() -> Self { Self }\n}\n",
+            "impl<F: Fn() -> u64> ladder_trace::Mergeable for Tally<F> where F: Copy {\n    fn merge_from(&mut self, o: &Self) {}\n}\n\
+             impl Tally {\n    pub fn new() -> Self { Self }\n}\npub fn after() {}\n",
         )]);
-        assert!(idx.has_trait_impl("Mergeable", "RunnerStats"));
-        assert_eq!(idx.impls.len(), 2);
-        assert_eq!(idx.impls[1].trait_name, None);
-        let merge = idx.fns.iter().find(|f| f.name == "merge_from").unwrap();
-        assert_eq!(merge.impl_type.as_deref(), Some("RunnerStats"));
-        assert_eq!(merge.trait_name.as_deref(), Some("Mergeable"));
-        assert!(merge.body.is_some());
+        // Both impl bodies are walked, and the walk resumes after them.
+        let names: Vec<&str> = idx.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["merge_from", "new", "after"]);
+        assert!(!idx.fns[0].is_pub && idx.fns[1].is_pub);
+        assert_eq!(idx.fns[0].sig, "( & mut self , o : & Self )");
     }
 
     #[test]
-    fn indexes_struct_fields_with_types() {
+    fn struct_fields_are_not_indexed_as_fns() {
         let idx = SymbolIndex::from_units(&[unit(
             "crates/x/src/lib.rs",
-            "pub struct EventCounts {\n    pub core_wake: u64,\n    #[allow(dead_code)]\n    pub label: String,\n    pub buckets: [u64; 8],\n}\n",
+            "pub struct Hooks {\n    pub on_write: fn(u64) -> u64,\n    #[allow(dead_code)]\n    pub label: String,\n}\npub fn after() {}\n",
         )]);
-        let s = idx.struct_named("EventCounts").unwrap();
-        assert_eq!(s.fields.len(), 3);
-        assert_eq!(s.fields[0], ("core_wake".to_string(), "u64".to_string()));
-        assert_eq!(s.fields[2].0, "buckets");
-        assert!(s.fields[2].1.contains("u64"));
+        let names: Vec<&str> = idx.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["after"]);
     }
 
     #[test]
@@ -622,7 +407,6 @@ mod tests {
             "pub enum E {\n    A = { fn inner() -> isize { 1 } inner() },\n    B,\n}\n\
              pub enum F<T> {\n    C(T, String),\n    D { x: u64 },\n}\npub fn after() {}\n",
         )]);
-        assert!(idx.structs.is_empty());
         let names: Vec<&str> = idx.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["after"]);
     }
@@ -634,7 +418,6 @@ mod tests {
             "pub fn live() {}\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n    struct FakeStats { a: u64 }\n}\n",
         )]);
         assert_eq!(idx.fns.len(), 1);
-        assert!(idx.structs.is_empty());
         let idents = &idx.file_idents["crates/x/src/lib.rs"];
         assert!(idents.contains("helper") && idents.contains("FakeStats"));
     }

@@ -14,11 +14,12 @@
 //! Analysis is two-pass ([`rules::analyze_units`]): pass 1 runs the
 //! per-file rules and builds a [`index::SymbolIndex`] over the whole
 //! corpus; pass 2 runs the cross-crate semantic rules (fast/reference
-//! twin discipline, `Mergeable` coverage, time-unit mixing, counter
-//! overflow policy) against that index, and audits every allow-pragma
-//! for liveness (`dead-pragma`).
+//! twin discipline, time-unit mixing) and audits every allow-pragma for
+//! liveness (`dead-pragma`). Invariants the type system can hold are not
+//! lint rules: run configs are sealed against struct literals, and every
+//! statistics fold destructures its input exhaustively.
 //!
-//! See DESIGN.md §11/§16 for the rule catalog and the pragma grammar, and
+//! See DESIGN.md §11 for the rule catalog and the pragma grammar, and
 //! [`rules::RULES`] for the machine-readable version.
 
 pub mod index;
@@ -251,58 +252,6 @@ pub fn to_json(findings: &[Finding]) -> String {
     out
 }
 
-/// Renders findings as a minimal SARIF 2.1.0 log (one run, the full rule
-/// catalog as `tool.driver.rules`, one `result` per finding). The output
-/// is byte-stable for a given finding list — no timestamps, no absolute
-/// paths, object keys in fixed order.
-pub fn to_sarif(findings: &[Finding]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"$schema\": \"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\n",
-    );
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"runs\": [\n    {\n");
-    out.push_str("      \"tool\": {\n        \"driver\": {\n");
-    out.push_str("          \"name\": \"ladder-lint\",\n");
-    out.push_str("          \"informationUri\": \"DESIGN.md\",\n");
-    out.push_str("          \"rules\": [\n");
-    for (i, r) in RULES.iter().enumerate() {
-        out.push_str(&format!(
-            "            {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}{}\n",
-            json_escape(r.name),
-            json_escape(r.summary),
-            if i + 1 < RULES.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("          ]\n        }\n      },\n");
-    out.push_str("      \"results\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str("        {\n");
-        out.push_str(&format!(
-            "          \"ruleId\": \"{}\",\n",
-            json_escape(f.rule)
-        ));
-        out.push_str("          \"level\": \"error\",\n");
-        out.push_str(&format!(
-            "          \"message\": {{\"text\": \"{}\"}},\n",
-            json_escape(&f.message)
-        ));
-        out.push_str(&format!(
-            "          \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]\n",
-            json_escape(&f.path),
-            f.line,
-            f.col
-        ));
-        out.push_str(&format!(
-            "        }}{}\n",
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("      ]\n    }\n  ]\n}\n");
-    out
-}
-
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -391,27 +340,5 @@ mod tests {
         assert!(report.conforms(), "{:?}", report.findings);
         let wrong = "// path: crates/sim/src/x.rs\n// expect: hash-iter @ 9:9\nuse std::collections::HashMap;\n";
         assert!(!run_fixture_source("f.rs", wrong).conforms());
-    }
-
-    #[test]
-    fn sarif_output_is_well_formed_and_stable() {
-        let findings = vec![Finding {
-            rule: "unit-mixing",
-            path: "crates/sim/src/x.rs".to_string(),
-            line: 7,
-            col: 12,
-            message: "mixing \"_ps\" and _ns".to_string(),
-        }];
-        let a = to_sarif(&findings);
-        let b = to_sarif(&findings);
-        assert_eq!(a, b);
-        assert!(a.contains("\"version\": \"2.1.0\""));
-        assert!(a.contains("\"ruleId\": \"unit-mixing\""));
-        assert!(a.contains("\"startLine\": 7"));
-        assert!(a.contains("\\\"_ps\\\""));
-        // Every cataloged rule appears in the driver metadata.
-        for r in RULES {
-            assert!(a.contains(&format!("\"id\": \"{}\"", r.name)));
-        }
     }
 }

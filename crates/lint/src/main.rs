@@ -1,20 +1,20 @@
 //! CLI for `ladder-lint`.
 //!
 //! ```text
-//! ladder-lint [--root DIR] [--json | --sarif] [--stats] [--list-rules]
+//! ladder-lint [--root DIR] [--json] [--stats] [--list-rules]
 //!             [--fixtures DIR]
 //! ```
 //!
 //! Exit codes (stable, asserted by the test suite):
 //!   0 — analysis ran and found nothing
 //!   1 — analysis ran and reported findings
-//!   2 — usage or I/O error (bad flag, conflicting output modes,
-//!       unreadable root/fixtures directory)
+//!   2 — usage or I/O error (bad flag, unreadable root/fixtures
+//!       directory)
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ladder_lint::{run_fixtures, run_workspace, to_json, to_sarif, Finding, RuleStat, RULES};
+use ladder_lint::{run_fixtures, run_workspace, to_json, Finding, RuleStat, RULES};
 
 const USAGE: &str = "\
 ladder-lint — workspace determinism & accounting conformance analyzer
@@ -25,7 +25,6 @@ USAGE:
 OPTIONS:
     --root DIR        workspace root to lint (default: .)
     --json            emit findings as a JSON array
-    --sarif           emit findings as a SARIF 2.1.0 log
     --stats           print a per-rule findings/time table to stderr
     --fixtures DIR    lint a fixture corpus (virtual `// path:` headers)
                       instead of the workspace
@@ -41,7 +40,6 @@ EXIT CODES:
 struct Options {
     root: PathBuf,
     json: bool,
-    sarif: bool,
     stats: bool,
     fixtures: Option<PathBuf>,
     list_rules: bool,
@@ -51,7 +49,6 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: PathBuf::from("."),
         json: false,
-        sarif: false,
         stats: false,
         fixtures: None,
         list_rules: false,
@@ -64,7 +61,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.root = PathBuf::from(value);
             }
             "--json" => opts.json = true,
-            "--sarif" => opts.sarif = true,
             "--stats" => opts.stats = true,
             "--fixtures" => {
                 let value = args.next().ok_or("--fixtures needs a directory")?;
@@ -77,9 +73,6 @@ fn parse_args() -> Result<Options, String> {
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
-    }
-    if opts.json && opts.sarif {
-        return Err("--json and --sarif are mutually exclusive".to_string());
     }
     Ok(opts)
 }
@@ -140,8 +133,6 @@ fn main() -> ExitCode {
 
     if opts.json {
         println!("{}", to_json(&findings));
-    } else if opts.sarif {
-        print!("{}", to_sarif(&findings));
     } else {
         for f in &findings {
             println!("{}", f.render());

@@ -89,7 +89,10 @@ pub struct RuleInfo {
     pub scope: &'static str,
 }
 
-/// The rule catalog (kept in sync with DESIGN.md §11 and §16).
+/// The rule catalog (kept in sync with DESIGN.md §11). Run-config
+/// construction and counter folds are not here: the compiler holds them
+/// (a private seal field on `SimConfig`/`ServiceConfig`, exhaustive
+/// destructuring in every `Mergeable` fold and in the shard fold).
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "hash-iter",
@@ -131,14 +134,6 @@ pub const RULES: &[RuleInfo] = &[
         scope: "crates/bench/src/bin",
     },
     RuleInfo {
-        name: "flat-options",
-        summary: "no struct-literal construction of SimConfig/ServiceConfig; \
-                  go through their builder()s",
-        scope: "everywhere except crates/sim/src/config.rs and \
-                crates/sim/src/service.rs (the builder modules); tests/ \
-                and test spans are exempt",
-    },
-    RuleInfo {
         name: "fast-ref-twin",
         summary: "every reference kernel (pub fn in a `reference` module, \
                   `*_reference` fn, or designated reference variant) needs \
@@ -147,23 +142,10 @@ pub const RULES: &[RuleInfo] = &[
                 equivalence proofs live in tests/*equivalence*.rs",
     },
     RuleInfo {
-        name: "mergeable-coverage",
-        summary: "every *Stats/*Counts struct must impl Mergeable and be \
-                  folded into RunResult or a shard-fold path",
-        scope: "crates/{sim,trace,faults,coding,wear}/src (cross-crate)",
-    },
-    RuleInfo {
         name: "unit-mixing",
         summary: "no arithmetic mixing `_ps` and `_ns` identifiers in one \
                   statement without an explicit conversion call",
         scope: "crates/*/src (non-test spans); tests/ and benches/ exempt",
-    },
-    RuleInfo {
-        name: "counter-overflow-policy",
-        summary: "merge/fold methods of counter structs must use \
-                  saturating_/checked_ arithmetic, never `+=`/wrapping_add",
-        scope: "crates/{sim,trace,faults,wear,coding,memctrl}/src, \
-                merge/merge_from/fold* methods of *Stats/*Counts impls",
     },
     RuleInfo {
         name: "dead-pragma",
@@ -213,13 +195,6 @@ const PANIC_EXEMPT: &[&str] = &["crates/proptest/", "crates/criterion/"];
 
 /// Where the bench-binary conformance rule applies.
 const BENCH_BIN_SCOPE: &str = "crates/bench/src/bin/";
-
-/// The builder modules — the only places allowed to write the run-config
-/// struct literals that `flat-options` forbids everywhere else.
-const FLAT_OPTIONS_ALLOW: &[&str] = &["crates/sim/src/config.rs", "crates/sim/src/service.rs"];
-
-/// Run-config types that must be constructed through the builder.
-const FLAT_OPTIONS_TYPES: &[&str] = &["SimConfig", "ServiceConfig"];
 
 /// Path-derived context for one file.
 struct FileContext<'a> {
@@ -344,9 +319,6 @@ pub fn analyze_units(units: &[SourceUnit]) -> AnalysisReport {
         let t0 = stat_clock();
         check_bench_flags(&ctx, tokens, &mut raw);
         timer.add("bench-flags", t0);
-        let t0 = stat_clock();
-        check_flat_options(&ctx, tokens, tests, &mut raw);
-        timer.add("flat-options", t0);
     }
 
     // Pass 1b: the symbol index.
@@ -363,14 +335,8 @@ pub fn analyze_units(units: &[SourceUnit]) -> AnalysisReport {
     semantic::check_fast_ref_twin(&index, &mut raw);
     timer.add("fast-ref-twin", t0);
     let t0 = stat_clock();
-    semantic::check_mergeable_coverage(&index, &mut raw);
-    timer.add("mergeable-coverage", t0);
-    let t0 = stat_clock();
     semantic::check_unit_mixing(&files, &mut raw);
     timer.add("unit-mixing", t0);
-    let t0 = stat_clock();
-    semantic::check_counter_overflow(&files, &index, &mut raw);
-    timer.add("counter-overflow-policy", t0);
 
     // Pragma filtering with usage tracking, then the dead-pragma audit.
     let t0 = stat_clock();
@@ -844,46 +810,6 @@ fn check_bench_flags(ctx: &FileContext<'_>, tokens: &[Token], findings: &mut Vec
     }
 }
 
-fn check_flat_options(
-    ctx: &FileContext<'_>,
-    tokens: &[Token],
-    tests: &[Span],
-    findings: &mut Vec<Finding>,
-) {
-    if FLAT_OPTIONS_ALLOW.contains(&ctx.path) || ctx.in_tests_dir {
-        return;
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        let Some(name) = t.ident() else { continue };
-        if !FLAT_OPTIONS_TYPES.contains(&name)
-            || in_spans(tests, t.line)
-            || !tokens.get(i + 1).is_some_and(|t| t.is_punct('{'))
-        {
-            continue;
-        }
-        // `struct SimConfig {`, `impl SimConfig {`, `impl T for SimConfig {`
-        // and `-> SimConfig {` are declarations or return types, not
-        // literals.
-        let declares = i > 0
-            && (tokens[i - 1].is_punct('>')
-                || ["struct", "impl", "for", "enum"]
-                    .iter()
-                    .any(|kw| tokens[i - 1].is_ident(kw)));
-        if !declares {
-            push(
-                findings,
-                "flat-options",
-                ctx,
-                t,
-                format!(
-                    "`{name} {{ .. }}` struct literal bypasses the builder; \
-                     construct run configs with `SimConfig::builder()`"
-                ),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1018,37 +944,6 @@ mod tests {
         let fired = analyze("crates/bench/src/bin/x.rs", no_parser);
         assert_eq!(fired.len(), 3, "{fired:?}");
         assert!(fired.iter().all(|f| f.message.contains("BenchArgs")));
-    }
-
-    #[test]
-    fn flat_options_forbids_literals_outside_the_builder_module() {
-        let literal = "pub fn f() -> SimConfig {\n    SimConfig { trace: true }\n}\n";
-        assert_eq!(
-            rules_fired("crates/sim/src/runner.rs", literal),
-            vec!["flat-options"]
-        );
-        assert_eq!(
-            rules_fired("crates/bench/src/lib.rs", literal),
-            vec!["flat-options"]
-        );
-        // The builder modules themselves and integration tests are exempt.
-        assert!(rules_fired("crates/sim/src/config.rs", literal).is_empty());
-        assert!(rules_fired("crates/sim/src/service.rs", literal).is_empty());
-        assert!(rules_fired("tests/golden_trace.rs", literal).is_empty());
-    }
-
-    #[test]
-    fn flat_options_skips_declarations_and_builder_calls() {
-        let decls = "pub struct SimConfig { pub trace: bool }\nimpl SimConfig {\n    fn f() {}\n}\nimpl Default for ServiceConfig {\n    fn default() -> Self { Self::new() }\n}\n";
-        assert!(rules_fired("crates/sim/src/runner.rs", decls).is_empty());
-        let builder =
-            "pub fn f() -> SimConfig {\n    SimConfig::builder().trace(true).build()\n}\n";
-        assert!(rules_fired("crates/sim/src/runner.rs", builder).is_empty());
-        let service = "fn g() {\n    let o = ServiceConfig { load: 4.0 };\n}\n";
-        assert_eq!(
-            rules_fired("crates/memctrl/src/lib.rs", service),
-            vec!["flat-options"]
-        );
     }
 
     #[test]

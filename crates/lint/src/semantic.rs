@@ -1,28 +1,20 @@
 //! Pass 2 of the two-pass analyzer: cross-crate semantic rules.
 //!
-//! These rules consult the [`SymbolIndex`](crate::index::SymbolIndex)
-//! built over the whole corpus, so they can enforce disciplines no
-//! single-file scan can see:
+//! These rules run over the whole corpus at once (fast-ref-twin through
+//! the [`SymbolIndex`](crate::index::SymbolIndex)), so they can enforce
+//! disciplines no single-file scan can see:
 //!
 //! * **fast-ref-twin** — every reference kernel (a `pub fn` in a
 //!   `reference` module or a `*_reference`-suffixed `pub fn`) must have a
 //!   same-signature fast twin *and* be exercised by an equivalence test
 //!   (`tests/*equivalence*.rs`). A fast kernel whose reference twin or
 //!   proof vanishes is a finding (DESIGN §15).
-//! * **mergeable-coverage** — every `*Stats`/`*Counts` struct in the
-//!   fold-scope crates must `impl Mergeable` and be folded into
-//!   `RunResult` or a shard-fold path, so no counter silently drops out
-//!   of the sharded accounting.
 //! * **unit-mixing** — arithmetic that mixes `_ps`- and `_ns`-suffixed
 //!   identifiers in one statement without an explicit conversion call is
 //!   a finding; the ps-domain timing tables depend on callers never
 //!   adding nanoseconds to picoseconds bare.
-//! * **counter-overflow-policy** — in `merge`/`merge_from`/`fold*`
-//!   bodies of counter structs, `+=` and `wrapping_add` on integer
-//!   counter fields are findings: fold paths accumulate across shards
-//!   and must saturate (or check) rather than wrap.
 //!
-//! The fifth semantic rule, **dead-pragma**, lives in the pipeline
+//! The third semantic rule, **dead-pragma**, lives in the pipeline
 //! ([`crate::rules::analyze_units`]) because it needs the pragma usage
 //! record produced while filtering every other rule's findings.
 
@@ -30,35 +22,10 @@ use crate::index::{FnItem, SymbolIndex};
 use crate::lexer::{Token, TokenKind};
 use crate::rules::{in_spans, FileUnit, Finding};
 
-/// Crates whose `*Stats`/`*Counts` structs must participate in the
-/// Mergeable fold (the `mergeable-coverage` scope).
-const FOLD_SCOPE: &[&str] = &[
-    "crates/sim/src/",
-    "crates/trace/src/",
-    "crates/faults/src/",
-    "crates/coding/src/",
-    "crates/wear/src/",
-];
-
-/// Crates whose merge/fold paths are held to the counter overflow policy.
-const COUNTER_SCOPE: &[&str] = &[
-    "crates/sim/src/",
-    "crates/trace/src/",
-    "crates/faults/src/",
-    "crates/coding/src/",
-    "crates/wear/src/",
-    "crates/memctrl/src/",
-];
-
 /// Calls that make a `_ps`/`_ns` co-occurrence an explicit, intentional
 /// conversion rather than a unit mix.
 const CONVERSIONS: &[&str] = &[
     "as_ps", "as_ns", "from_ps", "from_ns", "to_ps", "to_ns", "ns_to_ps", "ps_to_ns",
-];
-
-/// Integer type names whose struct fields count as overflowable counters.
-const INT_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
 ];
 
 fn is_test_path(path: &str) -> bool {
@@ -130,58 +97,6 @@ pub(crate) fn check_fast_ref_twin(index: &SymbolIndex, findings: &mut Vec<Findin
                      equivalence test (tests/*equivalence*.rs); the fast \
                      twin `{base}` is unproven without it",
                     f.name
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// mergeable-coverage
-// ---------------------------------------------------------------------------
-
-/// Every `*Stats`/`*Counts` struct in the fold-scope crates must impl
-/// `Mergeable` and appear in a fold path (a file that also mentions
-/// `RunResult` or `merge_digests`). One finding per struct, first
-/// failure only.
-pub(crate) fn check_mergeable_coverage(index: &SymbolIndex, findings: &mut Vec<Finding>) {
-    for s in &index.structs {
-        if !FOLD_SCOPE.iter().any(|p| s.file.starts_with(p)) {
-            continue;
-        }
-        if !(s.name.ends_with("Stats") || s.name.ends_with("Counts")) {
-            continue;
-        }
-        if !index.has_trait_impl("Mergeable", &s.name) {
-            findings.push(Finding {
-                rule: "mergeable-coverage",
-                path: s.file.clone(),
-                line: s.line,
-                col: s.col,
-                message: format!(
-                    "counter struct `{}` does not `impl Mergeable`; every \
-                     *Stats/*Counts struct in the fold scope must merge \
-                     deterministically across shards",
-                    s.name
-                ),
-            });
-            continue;
-        }
-        let folded = index.file_idents.iter().any(|(_, idents)| {
-            idents.contains(&s.name)
-                && (idents.contains("RunResult") || idents.contains("merge_digests"))
-        });
-        if !folded {
-            findings.push(Finding {
-                rule: "mergeable-coverage",
-                path: s.file.clone(),
-                line: s.line,
-                col: s.col,
-                message: format!(
-                    "counter struct `{}` is never folded into `RunResult` \
-                     or a shard-fold path (`merge_digests`); its counters \
-                     would drop out of sharded accounting",
-                    s.name
                 ),
             });
         }
@@ -299,123 +214,6 @@ impl Segment {
     }
 }
 
-// ---------------------------------------------------------------------------
-// counter-overflow-policy
-// ---------------------------------------------------------------------------
-
-/// `+=` / `wrapping_add` on integer counter fields inside the
-/// merge/fold methods of `*Stats`/`*Counts` impls. Record-path
-/// increments stay `+=` (hot loop); only the cross-shard fold must
-/// saturate or check.
-pub(crate) fn check_counter_overflow(
-    files: &[FileUnit],
-    index: &SymbolIndex,
-    findings: &mut Vec<Finding>,
-) {
-    for f in &index.fns {
-        if !COUNTER_SCOPE.iter().any(|p| f.file.starts_with(p)) {
-            continue;
-        }
-        if !(f.name == "merge" || f.name == "merge_from" || f.name.starts_with("fold")) {
-            continue;
-        }
-        let Some(ty) = f.impl_type.as_deref() else {
-            continue;
-        };
-        if !(ty.ends_with("Stats") || ty.ends_with("Counts")) {
-            continue;
-        }
-        let Some(st) = index.struct_named(ty) else {
-            continue;
-        };
-        let counters: Vec<&str> = st
-            .fields
-            .iter()
-            .filter(|(_, ty)| ty.split(' ').any(|w| INT_TYPES.contains(&w)))
-            .map(|(name, _)| name.as_str())
-            .collect();
-        if counters.is_empty() {
-            continue;
-        }
-        let Some((open, close)) = f.body else {
-            continue;
-        };
-        let Some(unit) = files.iter().find(|u| u.rel_path == f.file) else {
-            continue;
-        };
-        let tokens = &unit.lexed.tokens;
-        for k in open..=close.min(tokens.len().saturating_sub(1)) {
-            let t = &tokens[k];
-            // `field += ...`: `+` directly followed by `=` in the source.
-            let compound = t.is_punct('+')
-                && tokens
-                    .get(k + 1)
-                    .is_some_and(|n| n.is_punct('=') && n.line == t.line && n.col == t.col + 1);
-            if compound {
-                if let Some(field) = self_field_before(tokens, k, &counters) {
-                    findings.push(Finding {
-                        rule: "counter-overflow-policy",
-                        path: f.file.clone(),
-                        line: t.line,
-                        col: t.col,
-                        message: format!(
-                            "counter `{ty}.{field}` merges with `+=`; fold \
-                             paths accumulate across shards and must use \
-                             `saturating_add`/`checked_add` (DESIGN §16)"
-                        ),
-                    });
-                }
-            }
-            // `field.wrapping_add(...)` / `field = field.wrapping_add(..)`.
-            if t.is_ident("wrapping_add") && k > 0 && tokens[k - 1].is_punct('.') {
-                if let Some(field) = self_field_before(tokens, k - 1, &counters) {
-                    findings.push(Finding {
-                        rule: "counter-overflow-policy",
-                        path: f.file.clone(),
-                        line: t.line,
-                        col: t.col,
-                        message: format!(
-                            "counter `{ty}.{field}` merges with \
-                             `wrapping_add`; fold paths must use \
-                             `saturating_add`/`checked_add` (DESIGN §16)"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// If the tokens ending just before `op` spell `self.<field>` (with an
-/// optional trailing `[...]` index), and `<field>` is one of `counters`,
-/// returns the field name.
-fn self_field_before<'a>(tokens: &[Token], op: usize, counters: &[&'a str]) -> Option<&'a str> {
-    let mut k = op;
-    // Skip a `[...]` index group backwards.
-    if k > 0 && tokens[k - 1].is_punct(']') {
-        let mut depth = 0i32;
-        while k > 0 {
-            k -= 1;
-            if tokens[k].is_punct(']') {
-                depth += 1;
-            } else if tokens[k].is_punct('[') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-        }
-    }
-    if k < 3 {
-        return None;
-    }
-    let field = tokens[k - 1].ident()?;
-    if !tokens[k - 2].is_punct('.') || !tokens[k - 3].is_ident("self") {
-        return None;
-    }
-    counters.iter().find(|c| **c == field).copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,31 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn mergeable_coverage_requires_impl_and_fold() {
-        let bare = "pub struct TallyStats { pub hits: u64 }\n";
-        assert_eq!(
-            rules_fired(&[unit("crates/coding/src/tally.rs", bare)]),
-            vec!["mergeable-coverage"]
-        );
-        // Out-of-scope crate: silent.
-        assert!(rules_fired(&[unit("crates/xbar/src/tally.rs", bare)]).is_empty());
-
-        let with_impl = "pub struct TallyStats { pub hits: u64 }\n\
-             impl Mergeable for TallyStats {\n    fn merge_from(&mut self, o: &Self) {\n        self.hits = self.hits.saturating_add(o.hits);\n    }\n}\n";
-        // Impl but never folded: still a finding.
-        assert_eq!(
-            rules_fired(&[unit("crates/coding/src/tally.rs", with_impl)]),
-            vec!["mergeable-coverage"]
-        );
-        // Folded into RunResult elsewhere: clean.
-        let fold = unit(
-            "crates/sim/src/system.rs",
-            "pub struct RunResult { pub tally: TallyStats }\n",
-        );
-        assert!(rules_fired(&[unit("crates/coding/src/tally.rs", with_impl), fold]).is_empty());
-    }
-
-    #[test]
     fn unit_mixing_catches_bare_arithmetic_only() {
         let bad = "pub fn f(t_ps: u64, extra_ns: u64) -> u64 { t_ps + extra_ns }\n";
         assert_eq!(
@@ -523,55 +296,15 @@ mod tests {
     }
 
     #[test]
-    fn counter_overflow_flags_merge_but_not_record_paths() {
-        let src = "pub struct TallyStats { pub hits: u64, pub label: String }\n\
-                   impl TallyStats {\n\
-                   pub fn count(&mut self) { self.hits += 1; }\n\
-                   pub fn merge(&mut self, o: &Self) { self.hits += o.hits; }\n\
-                   }\n";
-        let fired = rules_fired(&[unit("crates/memctrl/src/tally.rs", src)]);
-        assert_eq!(fired, vec!["counter-overflow-policy"]);
-
-        let saturating = "pub struct TallyStats { pub hits: u64 }\n\
-                          impl TallyStats {\n\
-                          pub fn merge(&mut self, o: &Self) { self.hits = self.hits.saturating_add(o.hits); }\n\
-                          }\n";
-        assert!(rules_fired(&[unit("crates/memctrl/src/tally.rs", saturating)]).is_empty());
-
-        let wrapping = "pub struct TallyStats { pub hits: u64 }\n\
-                        impl TallyStats {\n\
-                        pub fn merge(&mut self, o: &Self) { self.hits = self.hits.wrapping_add(o.hits); }\n\
-                        }\n";
-        assert_eq!(
-            rules_fired(&[unit("crates/memctrl/src/tally.rs", wrapping)]),
-            vec!["counter-overflow-policy"]
-        );
-    }
-
-    #[test]
-    fn counter_overflow_handles_array_counters_and_scope() {
-        let arrays = "pub struct BinCounts { pub bins: [u64; 4] }\n\
-                      impl BinCounts {\n\
-                      pub fn merge_from(&mut self, o: &Self) { self.bins[0] += o.bins[0]; }\n\
-                      }\n";
-        assert_eq!(
-            rules_fired(&[unit("crates/memctrl/src/bins.rs", arrays)]),
-            vec!["counter-overflow-policy"]
-        );
-        // Out of scope (crates/core): silent.
-        assert!(rules_fired(&[unit("crates/core/src/bins.rs", arrays)]).is_empty());
-    }
-
-    #[test]
     fn non_counter_fields_do_not_fire() {
         let src = "pub struct SpanStats { pub wall: Duration, pub peak: u64 }\n\
-                   impl SpanStats {\n\
-                   pub fn merge(&mut self, o: &Self) {\n\
+                   impl Mergeable for SpanStats {\n\
+                   fn merge_from(&mut self, o: &Self) {\n\
                    self.wall += o.wall;\n\
-                   self.peak = self.peak.max(o.peak);\n\
+                   self.peak = self.peak.max(o.peak as u64);\n\
                    }\n}\n";
-        // `wall: Duration` is not an integer counter; `max` is fine.
-        // (mergeable-coverage is quiet: memctrl is outside its scope.)
+        // A merge body's arithmetic and widening casts are clean; only a
+        // narrowing cast would fire (lossy-cast covers `impl Mergeable`).
         assert!(rules_fired(&[unit("crates/memctrl/src/span.rs", src)]).is_empty());
     }
 

@@ -1,5 +1,5 @@
 //! End-to-end CLI contract: the documented exit codes (0 clean,
-//! 1 findings, 2 usage/IO error) and the machine-readable output modes.
+//! 1 findings, 2 usage/IO error) and the machine-readable JSON output.
 //! `just lint` and CI shell scripts branch on these codes, so
 //! they are asserted here rather than left as documentation.
 
@@ -70,7 +70,6 @@ fn exit_one_when_findings_are_reported() {
 fn exit_two_on_usage_and_io_errors() {
     assert_eq!(run(&["--no-such-flag"]).status.code(), Some(2));
     assert_eq!(run(&["--root"]).status.code(), Some(2));
-    assert_eq!(run(&["--json", "--sarif"]).status.code(), Some(2));
     assert_eq!(
         run(&["--root", "/nonexistent/lint/root"]).status.code(),
         Some(2)
@@ -96,51 +95,24 @@ fn fixture_corpus_self_check_exit_codes() {
 }
 
 #[test]
-fn sarif_output_is_schema_shaped_and_byte_stable() {
+fn json_and_text_render_the_same_findings() {
     let bad = fixtures_dir("bad");
-    let args = ["--sarif", "--fixtures", bad.to_str().expect("utf8 path")];
-    let first = run(&args);
-    let second = run(&args);
-    assert_eq!(first.status.code(), Some(1));
+    let bad = bad.to_str().expect("utf8 path");
+    let json = run(&["--json", "--fixtures", bad]);
+    let text = run(&["--fixtures", bad]);
+    assert_eq!(json.status.code(), Some(1));
     assert_eq!(
-        first.stdout, second.stdout,
-        "SARIF output is not byte-stable"
+        json.stdout,
+        run(&["--json", "--fixtures", bad]).stdout,
+        "JSON output is not byte-stable"
     );
-
-    let sarif = String::from_utf8(first.stdout).expect("utf8 sarif");
-    // Minimal SARIF 2.1.0 shape: schema pointer, version, driver, and one
-    // result per finding with a physical location.
-    assert!(sarif.contains("\"$schema\""));
-    assert!(sarif.contains("sarif-schema-2.1.0.json"));
-    assert!(sarif.contains("\"version\": \"2.1.0\""));
-    assert!(sarif.contains("\"name\": \"ladder-lint\""));
-    assert!(sarif.contains("\"ruleId\": \"hash-iter\""));
-    assert!(sarif.contains("\"ruleId\": \"counter-overflow-policy\""));
-    assert!(sarif.contains("\"startLine\""));
-    assert!(sarif.contains("\"startColumn\""));
-    // Balanced braces/brackets — cheap structural sanity without a JSON
-    // parser (the workspace is dependency-free by design).
-    let balance = |open: char, close: char| {
-        sarif.chars().filter(|&c| c == open).count()
-            == sarif.chars().filter(|&c| c == close).count()
-    };
-    assert!(balance('{', '}'));
-    assert!(balance('[', ']'));
-}
-
-#[test]
-fn json_and_sarif_render_the_same_findings() {
-    let bad = fixtures_dir("bad");
-    let json = run(&["--json", "--fixtures", bad.to_str().expect("utf8 path")]);
-    let sarif = run(&["--sarif", "--fixtures", bad.to_str().expect("utf8 path")]);
     let json = String::from_utf8(json.stdout).expect("utf8 json");
-    let sarif = String::from_utf8(sarif.stdout).expect("utf8 sarif");
-    let rule_count = |hay: &str, needle: &str| hay.matches(needle).count();
+    let text = String::from_utf8(text.stdout).expect("utf8 text");
     for rule in ladder_lint::RULES {
         assert_eq!(
-            rule_count(&json, &format!("\"rule\":\"{}\"", rule.name)),
-            rule_count(&sarif, &format!("\"ruleId\": \"{}\"", rule.name)),
-            "finding count for `{}` differs between --json and --sarif",
+            json.matches(&format!("\"rule\":\"{}\"", rule.name)).count(),
+            text.matches(&format!(": deny({}): ", rule.name)).count(),
+            "finding count for `{}` differs between --json and text",
             rule.name
         );
     }

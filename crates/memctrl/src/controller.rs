@@ -23,6 +23,11 @@ use ladder_trace::{
 };
 use std::collections::VecDeque;
 
+/// Spill-buffer entries (paper Table 2). Only caps the reported
+/// [`MemStats::spill_peak`]: a full buffer stalls nothing, since a spilled
+/// write waits in the write queue for its retry either way.
+const SPILL_CAPACITY: usize = 16;
+
 /// Controller configuration (paper Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemCtrlConfig {
@@ -34,10 +39,6 @@ pub struct MemCtrlConfig {
     pub drain_high: usize,
     /// Leave write-drain mode at (or below) this occupancy.
     pub drain_low: usize,
-    /// Spill-buffer entries. Only caps the reported
-    /// [`MemStats::spill_peak`]: a full buffer stalls nothing, since a
-    /// spilled write waits in the write queue for its retry either way.
-    pub spill_capacity: usize,
     /// Device access timings.
     pub timing: DeviceTiming,
 }
@@ -49,7 +50,6 @@ impl Default for MemCtrlConfig {
             wrq_capacity: 64,
             drain_high: 55, // ceil(0.85 × 64)
             drain_low: 32,
-            spill_capacity: 16,
             timing: DeviceTiming::default(),
         }
     }
@@ -187,34 +187,6 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Folds another controller's statistics into this one (peaks take
-    /// the maximum; everything else adds).
-    pub fn merge(&mut self, other: &MemStats) {
-        self.demand_reads = self.demand_reads.saturating_add(other.demand_reads);
-        self.demand_read_latency += other.demand_read_latency;
-        self.smb_reads = self.smb_reads.saturating_add(other.smb_reads);
-        self.metadata_reads = self.metadata_reads.saturating_add(other.metadata_reads);
-        self.data_writes = self.data_writes.saturating_add(other.data_writes);
-        self.metadata_writes = self.metadata_writes.saturating_add(other.metadata_writes);
-        self.write_service_time += other.write_service_time;
-        self.t_wr_data += other.t_wr_data;
-        self.t_wr_metadata += other.t_wr_metadata;
-        self.bits_set = self.bits_set.saturating_add(other.bits_set);
-        self.bits_reset = self.bits_reset.saturating_add(other.bits_reset);
-        self.drain_switches = self.drain_switches.saturating_add(other.drain_switches);
-        self.wrq_peak = self.wrq_peak.max(other.wrq_peak);
-        self.spill_peak = self.spill_peak.max(other.spill_peak);
-        self.failed_verifies = self.failed_verifies.saturating_add(other.failed_verifies);
-        self.retries_issued = self.retries_issued.saturating_add(other.retries_issued);
-        self.retry_time += other.retry_time;
-        self.ecc_corrected_bits = self
-            .ecc_corrected_bits
-            .saturating_add(other.ecc_corrected_bits);
-        self.uncorrectable_writes = self
-            .uncorrectable_writes
-            .saturating_add(other.uncorrectable_writes);
-    }
-
     /// Mean demand read latency.
     pub fn avg_read_latency(&self) -> Picos {
         if self.demand_reads == 0 {
@@ -254,9 +226,51 @@ impl MemStats {
     }
 }
 
+/// Folds another controller's statistics into this one: peaks take the
+/// maximum, everything else adds. No `..` in the pattern, so a new field
+/// fails to compile until it is folded here.
 impl Mergeable for MemStats {
     fn merge_from(&mut self, other: &Self) {
-        self.merge(other);
+        let MemStats {
+            demand_reads,
+            demand_read_latency,
+            smb_reads,
+            metadata_reads,
+            data_writes,
+            metadata_writes,
+            write_service_time,
+            t_wr_data,
+            t_wr_metadata,
+            bits_set,
+            bits_reset,
+            drain_switches,
+            wrq_peak,
+            spill_peak,
+            failed_verifies,
+            retries_issued,
+            retry_time,
+            ecc_corrected_bits,
+            uncorrectable_writes,
+        } = other;
+        self.demand_reads.merge_from(demand_reads);
+        self.demand_read_latency.merge_from(demand_read_latency);
+        self.smb_reads.merge_from(smb_reads);
+        self.metadata_reads.merge_from(metadata_reads);
+        self.data_writes.merge_from(data_writes);
+        self.metadata_writes.merge_from(metadata_writes);
+        self.write_service_time.merge_from(write_service_time);
+        self.t_wr_data.merge_from(t_wr_data);
+        self.t_wr_metadata.merge_from(t_wr_metadata);
+        self.bits_set.merge_from(bits_set);
+        self.bits_reset.merge_from(bits_reset);
+        self.drain_switches.merge_from(drain_switches);
+        self.wrq_peak = self.wrq_peak.max(*wrq_peak);
+        self.spill_peak = self.spill_peak.max(*spill_peak);
+        self.failed_verifies.merge_from(failed_verifies);
+        self.retries_issued.merge_from(retries_issued);
+        self.retry_time.merge_from(retry_time);
+        self.ecc_corrected_bits.merge_from(ecc_corrected_bits);
+        self.uncorrectable_writes.merge_from(uncorrectable_writes);
     }
 }
 
@@ -536,7 +550,7 @@ pub struct MemoryController {
     channels: Vec<Channel>,
     banks: Vec<Instant>,
     /// Spilled writes parked since the last retry, capped at
-    /// `cfg.spill_capacity`.
+    /// [`SPILL_CAPACITY`].
     spilled: usize,
     completed_reads: Vec<(ReqId, Instant)>,
     next_id: u64,
@@ -788,7 +802,7 @@ impl MemoryController {
         let entry = &mut self.channels[ch].wrq[idx];
         entry.prepared = !prep.spilled;
         if prep.spilled {
-            if self.spilled < self.cfg.spill_capacity {
+            if self.spilled < SPILL_CAPACITY {
                 self.spilled += 1;
                 self.stats.spill_peak = self.stats.spill_peak.max(self.spilled);
             }

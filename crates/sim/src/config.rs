@@ -8,10 +8,10 @@
 //! [`crate::run_sharded`] (the per-shard results); `builder_for`
 //! assembles each of its simulations.
 //!
-//! Construction goes through [`SimConfig::builder`] — the struct is
-//! `#[non_exhaustive]`, so new knobs can be added without breaking
-//! callers, and the `flat-options` lint keeps struct literals out of the
-//! rest of the workspace.
+//! Construction goes through [`SimConfig::builder`]: the struct carries a
+//! private unit field, so outside this module — elsewhere in ladder-sim
+//! included — the compiler rejects a struct literal or a `..base` update,
+//! and new knobs can be added without breaking callers.
 
 use crate::experiments::{shard_trace_for, ExperimentConfig, Workload};
 use crate::scheme::Scheme;
@@ -41,8 +41,44 @@ use ladder_wear::{RemapKind, SegmentVwl};
 ///     .build();
 /// assert_eq!(cfg.topology.unwrap().channels, 4);
 /// ```
-#[non_exhaustive]
+///
+/// A struct literal does not compile outside this module (the compiler
+/// cannot construct it "due to private fields"):
+///
+/// ```compile_fail
+/// use ladder_sim::{Scheme, SimConfig, Topology};
+/// use ladder_sim::experiments::Workload;
+/// use ladder_sim::{CodingKind, Interleave, RemapKind};
+///
+/// let cfg = SimConfig {
+///     scheme: Scheme::Baseline,
+///     workload: Workload::Single("astar"),
+///     topology: None::<Topology>,
+///     interleave: Interleave::Channel,
+///     track_exact: false,
+///     track_wear: false,
+///     wear_leveling: false,
+///     faults: None,
+///     coding: CodingKind::Flat,
+///     remap: RemapKind::Retire,
+///     trace: false,
+///     service: None,
+/// };
+/// ```
+///
+/// nor does a `..base` update of a built config:
+///
+/// ```compile_fail,E0451
+/// use ladder_sim::{Scheme, SimConfig};
+///
+/// let base = SimConfig::builder().build();
+/// let cfg = SimConfig { scheme: Scheme::LadderEst, ..base };
+/// ```
 #[derive(Debug, Clone, Copy)]
+#[allow(
+    clippy::manual_non_exhaustive,
+    reason = "`#[non_exhaustive]` binds only other crates; the private field also rejects literals in ladder-sim's other modules"
+)]
 pub struct SimConfig {
     /// The write scheme under test.
     pub scheme: Scheme,
@@ -82,6 +118,8 @@ pub struct SimConfig {
     /// unused. `None` is the legacy closed-loop path, byte-compatible
     /// with the golden digests.
     pub service: Option<ServiceConfig>,
+    /// Keeps construction in this module (see the type docs).
+    _seal: (),
 }
 
 impl SimConfig {
@@ -103,6 +141,7 @@ impl SimConfig {
                 remap: RemapKind::Retire,
                 trace: false,
                 service: None,
+                _seal: (),
             },
         }
     }

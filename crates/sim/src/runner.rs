@@ -33,6 +33,7 @@ use std::time::Duration;
 
 use ladder_memctrl::Tables;
 use ladder_reram::Picos;
+use ladder_trace::Mergeable;
 
 use crate::config::SimConfig;
 use crate::experiments::{ExperimentConfig, Workload};
@@ -106,23 +107,29 @@ impl RunnerStats {
         }
         s
     }
-
-    /// Folds another batch's stats into this one (used by experiments
-    /// that issue several batches).
-    pub fn merge(&mut self, other: &RunnerStats) {
-        self.jobs = self.jobs.saturating_add(other.jobs);
-        self.workers = self.workers.max(other.workers);
-        self.wall += other.wall;
-        self.total_job_time += other.total_job_time;
-        self.job_times.extend_from_slice(&other.job_times);
-        self.events.merge(&other.events);
-        self.sim_time += other.sim_time;
-    }
 }
 
-impl ladder_trace::Mergeable for RunnerStats {
+/// Folds another batch's stats into this one (used by experiments that
+/// issue several batches). No `..` in the pattern, so a new field fails
+/// to compile until it is folded here.
+impl Mergeable for RunnerStats {
     fn merge_from(&mut self, other: &Self) {
-        self.merge(other);
+        let RunnerStats {
+            jobs,
+            workers,
+            wall,
+            total_job_time,
+            job_times,
+            events,
+            sim_time,
+        } = other;
+        self.jobs = self.jobs.saturating_add(*jobs);
+        self.workers = self.workers.max(*workers);
+        self.wall += *wall;
+        self.total_job_time += *total_job_time;
+        self.job_times.extend_from_slice(job_times);
+        self.events.merge_from(events);
+        self.sim_time.merge_from(sim_time);
     }
 }
 
@@ -256,7 +263,7 @@ impl Runner {
         self.accum
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .merge(&stats);
+            .merge_from(&stats);
         (results, stats)
     }
 
@@ -285,12 +292,12 @@ impl Runner {
         let (results, mut stats) =
             self.run_jobs(configs.len(), |i| run_sim(&configs[i], cfg, tables));
         for r in &results {
-            stats.events.merge(&r.events);
+            stats.events.merge_from(&r.events);
             stats.sim_time += Picos::from_ps(r.end.as_ps());
         }
         {
             let mut acc = self.accum.lock().unwrap_or_else(PoisonError::into_inner);
-            acc.events.merge(&stats.events);
+            acc.events.merge_from(&stats.events);
             acc.sim_time += stats.sim_time;
         }
         (results, stats)
@@ -458,7 +465,7 @@ mod tests {
     fn stats_merge_accumulates() {
         let (_, mut a) = Runner::sequential().run_jobs(3, |i| i);
         let (_, b) = Runner::sequential().run_jobs(2, |i| i);
-        a.merge(&b);
+        a.merge_from(&b);
         assert_eq!(a.jobs, 5);
         assert_eq!(a.job_times.len(), 5);
     }
@@ -470,8 +477,8 @@ mod tests {
         b.events.core_wake = 5;
         b.events.ctrl_bank_free = 3;
         b.sim_time = Picos::from_ps(2_000_000);
-        a.merge(&b);
-        a.merge(&b);
+        a.merge_from(&b);
+        a.merge_from(&b);
         assert_eq!(a.events.core_wake, 10);
         assert_eq!(a.events.total(), 16);
         assert!(a.events_per_sim_second() > 0.0);

@@ -65,11 +65,35 @@ impl FromStr for ArrivalKind {
 
 /// Offered-traffic description of one open-loop service run.
 ///
-/// Construct via [`ServiceConfig::builder`]; the struct is
-/// `#[non_exhaustive]` so new knobs can ride along without breaking
-/// callers (same contract as `SimConfig`).
-#[non_exhaustive]
+/// Construct via [`ServiceConfig::builder`]; a private unit field makes
+/// the compiler reject struct literals and `..base` updates outside this
+/// module, so new knobs can ride along without breaking callers (same
+/// contract as `SimConfig`):
+///
+/// ```compile_fail
+/// use ladder_sim::{ArrivalKind, ServiceConfig};
+///
+/// let cfg = ServiceConfig {
+///     arrival: ArrivalKind::Poisson,
+///     load: 4.0,
+///     tenants: 3,
+///     zipf_theta: 0.99,
+///     read_fraction: 0.9,
+///     requests: 50_000,
+/// };
+/// ```
+///
+/// ```compile_fail,E0451
+/// use ladder_sim::ServiceConfig;
+///
+/// let base = ServiceConfig::builder().build();
+/// let cfg = ServiceConfig { load: 8.0, ..base };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[allow(
+    clippy::manual_non_exhaustive,
+    reason = "`#[non_exhaustive]` binds only other crates; the private field also rejects literals in ladder-sim's other modules"
+)]
 pub struct ServiceConfig {
     /// Arrival process shape.
     pub arrival: ArrivalKind,
@@ -84,6 +108,8 @@ pub struct ServiceConfig {
     pub read_fraction: f64,
     /// Requests per run (per shard when sharded).
     pub requests: u64,
+    /// Keeps construction in this module (see the type docs).
+    _seal: (),
 }
 
 impl ServiceConfig {
@@ -98,6 +124,7 @@ impl ServiceConfig {
                 zipf_theta: 0.99,
                 read_fraction: 0.9,
                 requests: 50_000,
+                _seal: (),
             },
         }
     }
@@ -171,11 +198,18 @@ pub struct ServiceStats {
 
 impl Mergeable for ServiceStats {
     fn merge_from(&mut self, other: &Self) {
-        self.tenants.merge_from(&other.tenants);
-        self.arrivals = self.arrivals.saturating_add(other.arrivals);
-        self.reads_completed = self.reads_completed.saturating_add(other.reads_completed);
-        self.writes_accepted = self.writes_accepted.saturating_add(other.writes_accepted);
-        self.deferred = self.deferred.saturating_add(other.deferred);
+        let ServiceStats {
+            tenants,
+            arrivals,
+            reads_completed,
+            writes_accepted,
+            deferred,
+        } = other;
+        self.tenants.merge_from(tenants);
+        self.arrivals.merge_from(arrivals);
+        self.reads_completed.merge_from(reads_completed);
+        self.writes_accepted.merge_from(writes_accepted);
+        self.deferred.merge_from(deferred);
     }
 }
 

@@ -153,31 +153,57 @@ fn fold_shards(topology: Option<Topology>, shards: Cow<'_, [RunResult]>) -> RunR
     let (mut records, mut dropped) = (0u64, 0u64);
     let mut shard_digests = Vec::with_capacity(shards.len());
     for r in shards.iter() {
-        cores.extend_from_slice(&r.cores);
-        mem.merge_from(&r.mem);
-        events.merge_from(&r.events);
-        energy.read_pj += r.energy.read_pj;
-        energy.write_pj += r.energy.write_pj;
-        end = end.max(r.end);
-        read_histogram.merge_from(&r.read_histogram);
-        if let Some(f) = &r.faults {
+        // No `..`: a new `RunResult` field fails to compile until this
+        // fold either merges it or names it as per-shard only.
+        let RunResult {
+            scheme: _,
+            cores: shard_cores,
+            mem: shard_mem,
+            energy: EnergyBreakdown { read_pj, write_pj },
+            end: shard_end,
+            cw_trace: _,
+            cache_hit: _,
+            fnw: _,
+            read_histogram: shard_histogram,
+            wear: _,
+            faults: shard_faults,
+            coding: shard_coding,
+            events: shard_events,
+            trace: shard_trace,
+            service: shard_service,
+        } = r;
+        cores.extend_from_slice(shard_cores);
+        mem.merge_from(shard_mem);
+        events.merge_from(shard_events);
+        energy.read_pj += read_pj;
+        energy.write_pj += write_pj;
+        end = end.max(*shard_end);
+        read_histogram.merge_from(shard_histogram);
+        if let Some(f) = shard_faults {
             faults.get_or_insert_with(FaultStats::default).merge_from(f);
         }
-        if let Some(c) = &r.coding {
+        if let Some(c) = shard_coding {
             coding
                 .get_or_insert_with(CodingStats::default)
                 .merge_from(c);
         }
-        if let Some(s) = &r.service {
+        if let Some(s) = shard_service {
             service
                 .get_or_insert_with(ServiceStats::default)
                 .merge_from(s);
         }
-        if let Some(t) = &r.trace {
-            totals.merge_from(&t.totals);
-            records = records.saturating_add(t.records);
-            dropped = dropped.saturating_add(t.dropped);
-            shard_digests.push(t.digest);
+        if let Some(Trace {
+            parts: _,
+            totals: shard_totals,
+            records: shard_records,
+            dropped: shard_dropped,
+            digest,
+        }) = shard_trace
+        {
+            totals.merge_from(shard_totals);
+            records.merge_from(shard_records);
+            dropped.merge_from(shard_dropped);
+            shard_digests.push(*digest);
         }
     }
     // All shards share one tracing flag, so either every shard traced or

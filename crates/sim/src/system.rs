@@ -622,23 +622,6 @@ impl EventCounts {
             + self.request_arrival
     }
 
-    /// Accumulates another run's counters into this one.
-    pub fn merge(&mut self, other: &EventCounts) {
-        self.core_wake = self.core_wake.saturating_add(other.core_wake);
-        self.read_complete = self.read_complete.saturating_add(other.read_complete);
-        self.ctrl_work_arrived = self
-            .ctrl_work_arrived
-            .saturating_add(other.ctrl_work_arrived);
-        self.ctrl_bank_free = self.ctrl_bank_free.saturating_add(other.ctrl_bank_free);
-        self.ctrl_queue_slot_free = self
-            .ctrl_queue_slot_free
-            .saturating_add(other.ctrl_queue_slot_free);
-        self.ctrl_dep_ready = self.ctrl_dep_ready.saturating_add(other.ctrl_dep_ready);
-        self.ctrl_mode_switch = self.ctrl_mode_switch.saturating_add(other.ctrl_mode_switch);
-        self.ctrl_retry_pulse = self.ctrl_retry_pulse.saturating_add(other.ctrl_retry_pulse);
-        self.request_arrival = self.request_arrival.saturating_add(other.request_arrival);
-    }
-
     fn count(&mut self, ev: EventKind) {
         match ev {
             EventKind::CoreWake(_) => self.core_wake += 1,
@@ -654,9 +637,30 @@ impl EventCounts {
     }
 }
 
+/// Accumulates another run's counters into this one. No `..` in the
+/// pattern, so a new counter fails to compile until it is folded here.
 impl Mergeable for EventCounts {
     fn merge_from(&mut self, other: &Self) {
-        self.merge(other);
+        let EventCounts {
+            core_wake,
+            read_complete,
+            ctrl_work_arrived,
+            ctrl_bank_free,
+            ctrl_queue_slot_free,
+            ctrl_dep_ready,
+            ctrl_mode_switch,
+            ctrl_retry_pulse,
+            request_arrival,
+        } = other;
+        self.core_wake.merge_from(core_wake);
+        self.read_complete.merge_from(read_complete);
+        self.ctrl_work_arrived.merge_from(ctrl_work_arrived);
+        self.ctrl_bank_free.merge_from(ctrl_bank_free);
+        self.ctrl_queue_slot_free.merge_from(ctrl_queue_slot_free);
+        self.ctrl_dep_ready.merge_from(ctrl_dep_ready);
+        self.ctrl_mode_switch.merge_from(ctrl_mode_switch);
+        self.ctrl_retry_pulse.merge_from(ctrl_retry_pulse);
+        self.request_arrival.merge_from(request_arrival);
     }
 }
 
@@ -1115,7 +1119,6 @@ mod tests {
             wrq_capacity: 4,
             drain_high: 4,
             drain_low: 1,
-            spill_capacity: 4,
             ..MemCtrlConfig::default()
         });
         for c in 0..2u64 {

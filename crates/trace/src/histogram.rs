@@ -7,6 +7,7 @@
 //! Bucket boundaries are hoisted to construction time (a compile-time
 //! table), so recording a sample never re-derives them.
 
+use crate::metrics::Mergeable;
 use ladder_reram::Picos;
 
 /// Number of logarithmic buckets (~1 ns to ~1 ms at 2 buckets/octave).
@@ -139,14 +140,26 @@ impl LatencyHistogram {
         self.max
     }
 
-    /// Merges another histogram into this one.
+    /// Merges another histogram into this one (the [`Mergeable`] fold).
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        self.merge_from(other);
+    }
+}
+
+impl Mergeable for LatencyHistogram {
+    fn merge_from(&mut self, other: &Self) {
+        let LatencyHistogram {
+            counts,
+            total,
+            sum,
+            max,
+        } = other;
+        for (a, b) in self.counts.iter_mut().zip(counts) {
+            a.merge_from(b);
         }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
+        self.total.merge_from(total);
+        self.sum.merge_from(sum);
+        self.max = self.max.max(*max);
     }
 }
 

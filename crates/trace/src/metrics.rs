@@ -1,7 +1,6 @@
 //! The [`Mergeable`] trait and the [`TraceTotals`] aggregate a recorder
 //! maintains alongside its ring.
 
-use crate::histogram::LatencyHistogram;
 use crate::record::{DispatchKind, PulseKind, ReadClass, TraceRecord};
 use ladder_reram::Picos;
 
@@ -36,22 +35,17 @@ pub fn fold<M: Mergeable>(parts: impl IntoIterator<Item = M>) -> M {
     acc
 }
 
-/// Plain counters merge by addition.
+/// Plain counters merge by saturating addition — the one overflow
+/// policy of every fold: a counter that would wrap pins at `u64::MAX`.
 impl Mergeable for u64 {
     fn merge_from(&mut self, other: &Self) {
-        *self += other;
+        *self = self.saturating_add(*other);
     }
 }
 
 impl Mergeable for Picos {
     fn merge_from(&mut self, other: &Self) {
         *self += *other;
-    }
-}
-
-impl Mergeable for LatencyHistogram {
-    fn merge_from(&mut self, other: &Self) {
-        self.merge(other);
     }
 }
 
@@ -262,38 +256,85 @@ impl TraceTotals {
 
 impl Mergeable for TraceTotals {
     fn merge_from(&mut self, other: &Self) {
-        for (a, b) in self.dispatches.iter_mut().zip(&other.dispatches) {
-            *a += b;
+        // No `..`: a new field fails to compile until it is folded here.
+        let TraceTotals {
+            dispatches,
+            data_pulses,
+            metadata_pulses,
+            demand_reads,
+            smb_reads,
+            metadata_reads,
+            demand_read_latency,
+            cache_hits,
+            cache_misses,
+            cache_writebacks,
+            failed_verifies,
+            ecc_corrected_bits,
+            uncorrectable,
+            queue_wait,
+            pulse_time,
+            retry_time,
+            service_time,
+            worst_pulse_time,
+            location_pulse_time,
+            metadata_pulse_time,
+            shard_tags,
+            tier_ecc,
+            tier_ecc_bits,
+            pad_remaps,
+        } = other;
+        for (a, b) in self.dispatches.iter_mut().zip(dispatches) {
+            a.merge_from(b);
         }
-        self.data_pulses += other.data_pulses;
-        self.metadata_pulses += other.metadata_pulses;
-        self.demand_reads += other.demand_reads;
-        self.smb_reads += other.smb_reads;
-        self.metadata_reads += other.metadata_reads;
-        self.demand_read_latency += other.demand_read_latency;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_writebacks += other.cache_writebacks;
-        self.failed_verifies += other.failed_verifies;
-        self.ecc_corrected_bits += other.ecc_corrected_bits;
-        self.uncorrectable += other.uncorrectable;
-        self.queue_wait += other.queue_wait;
-        self.pulse_time += other.pulse_time;
-        self.retry_time += other.retry_time;
-        self.service_time += other.service_time;
-        self.worst_pulse_time += other.worst_pulse_time;
-        self.location_pulse_time += other.location_pulse_time;
-        self.metadata_pulse_time += other.metadata_pulse_time;
-        self.shard_tags += other.shard_tags;
-        self.tier_ecc += other.tier_ecc;
-        self.tier_ecc_bits += other.tier_ecc_bits;
-        self.pad_remaps += other.pad_remaps;
+        self.data_pulses.merge_from(data_pulses);
+        self.metadata_pulses.merge_from(metadata_pulses);
+        self.demand_reads.merge_from(demand_reads);
+        self.smb_reads.merge_from(smb_reads);
+        self.metadata_reads.merge_from(metadata_reads);
+        self.demand_read_latency.merge_from(demand_read_latency);
+        self.cache_hits.merge_from(cache_hits);
+        self.cache_misses.merge_from(cache_misses);
+        self.cache_writebacks.merge_from(cache_writebacks);
+        self.failed_verifies.merge_from(failed_verifies);
+        self.ecc_corrected_bits.merge_from(ecc_corrected_bits);
+        self.uncorrectable.merge_from(uncorrectable);
+        self.queue_wait.merge_from(queue_wait);
+        self.pulse_time.merge_from(pulse_time);
+        self.retry_time.merge_from(retry_time);
+        self.service_time.merge_from(service_time);
+        self.worst_pulse_time.merge_from(worst_pulse_time);
+        self.location_pulse_time.merge_from(location_pulse_time);
+        self.metadata_pulse_time.merge_from(metadata_pulse_time);
+        self.shard_tags.merge_from(shard_tags);
+        self.tier_ecc.merge_from(tier_ecc);
+        self.tier_ecc_bits.merge_from(tier_ecc_bits);
+        self.pad_remaps.merge_from(pad_remaps);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn u64_merge_saturates_instead_of_overflowing() {
+        let mut n = u64::MAX;
+        n.merge_from(&1);
+        assert_eq!(n, u64::MAX);
+        // Every counter fold routes through that impl, arrays included.
+        let mut t = TraceTotals {
+            data_pulses: u64::MAX - 1,
+            ..Default::default()
+        };
+        t.dispatches[0] = u64::MAX;
+        let mut o = TraceTotals {
+            data_pulses: 5,
+            ..Default::default()
+        };
+        o.dispatches[0] = 2;
+        t.merge_from(&o);
+        assert_eq!((t.data_pulses, t.dispatches[0]), (u64::MAX, u64::MAX));
+    }
 
     #[test]
     fn fold_helper_equals_manual_accumulation() {

@@ -46,12 +46,18 @@ pub struct TenantGroup {
 
 impl Mergeable for TenantGroup {
     fn merge_from(&mut self, other: &Self) {
+        let TenantGroup {
+            weight_ppm,
+            qos_code,
+            reads,
+            writes,
+        } = other;
         // Identity fields agree across shards of one run; `max` keeps the
         // merge associative/commutative with the all-zero identity.
-        self.weight_ppm = self.weight_ppm.max(other.weight_ppm);
-        self.qos_code = self.qos_code.max(other.qos_code);
-        self.reads.merge(&other.reads);
-        self.writes += other.writes;
+        self.weight_ppm = self.weight_ppm.max(*weight_ppm);
+        self.qos_code = self.qos_code.max(*qos_code);
+        self.reads.merge_from(reads);
+        self.writes.merge_from(writes);
     }
 }
 
@@ -140,7 +146,8 @@ impl TenantLatencies {
 
 impl Mergeable for TenantLatencies {
     fn merge_from(&mut self, other: &Self) {
-        for (k, g) in &other.groups {
+        let TenantLatencies { groups } = other;
+        for (k, g) in groups {
             self.merge_group(k, g);
         }
     }

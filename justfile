@@ -18,19 +18,11 @@ clippy:
 
 # Project-invariant static analysis: per-file rules (determinism,
 # accounting safety, panic policy, bench-binary conformance) plus the
-# cross-crate semantic pass (fast/reference twins, Mergeable coverage,
-# time-unit mixing, counter overflow policy, dead pragmas). `--json`,
-# `--sarif`, `--stats` and `--list-rules` are also available on the
-# binary; see DESIGN.md §11 and §16.
+# cross-crate semantic pass (fast/reference twins, time-unit mixing,
+# dead pragmas). `--json`, `--stats` and `--list-rules` are also
+# available on the binary; see DESIGN.md §11.
 lint:
     cargo run --release -q -p ladder-lint --offline -- --root .
-
-# Machine-readable lint report for CI annotation: SARIF 2.1.0 into
-# results/lint.sarif (written even when findings exist; the recipe still
-# fails on findings so gates behave like `just lint`).
-lint-sarif:
-    mkdir -p results
-    cargo run --release -q -p ladder-lint --offline -- --root . --sarif > results/lint.sarif
 
 # Run the criterion-shim benches once each, which also enforces the
 # tracing disabled-path allocation gate (trace_overhead).
