@@ -101,12 +101,6 @@ impl BitlineProfiler {
             None => 0,
         }
     }
-
-    /// Number of distinct (array, slot) profiles allocated — a proxy for
-    /// the profiling-circuit state the scheme needs in hardware.
-    pub fn tracked_profiles(&self) -> usize {
-        self.counters.len()
-    }
 }
 
 #[cfg(test)]

@@ -54,11 +54,6 @@ impl LocationChannel {
         }
     }
 
-    /// Bits per line this channel models.
-    pub fn line_bits(&self) -> u32 {
-        LINE_BITS
-    }
-
     /// IR-drop failure margin of a write at `addr` carrying `data`: the
     /// normalized latency the timing table demands for this
     /// ⟨location, content⟩ corner, in `(0, 1]`. Far cells / LRS-heavy

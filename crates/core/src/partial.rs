@@ -66,11 +66,6 @@ impl PartialCounters {
         assert!(j < SUBGROUPS, "subgroup index out of range");
         LEVELS_2BIT[((self.0 >> (2 * j)) & 0b11) as usize]
     }
-
-    /// Collapses to the 1-bit low-precision form used for bottom rows.
-    pub fn to_low_precision(self) -> LowPrecisionCounters {
-        LowPrecisionCounters::from_partial(self)
-    }
 }
 
 /// The two 1-bit partial counters of one line (bottom-row encoding); bit 0
@@ -187,6 +182,7 @@ pub fn exact_cw_lrs<'a>(lines: impl Iterator<Item = &'a LineData>) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn encoding_levels_match_paper() {
@@ -275,5 +271,30 @@ mod tests {
             [pc.decode(0), pc.decode(1), pc.decode(2), pc.decode(3)],
             [5, 1, 5, 1]
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Per-subgroup counts go through the SWAR worst-byte kernel; they
+        /// must equal the byte-wise definition, quantized.
+        #[test]
+        fn partial_counters_match_bytewise_definition(
+            v in prop::collection::vec(any::<u8>(), LINE_BYTES),
+        ) {
+            let mut line = [0u8; LINE_BYTES];
+            line.copy_from_slice(&v);
+            let pc = PartialCounters::from_line(&line);
+            for (j, sub) in line.chunks(BYTES_PER_SUBGROUP).enumerate() {
+                let worst = sub.iter().map(|b| b.count_ones()).max().unwrap_or(0);
+                let expect = match worst {
+                    0..=1 => 1,
+                    2..=3 => 3,
+                    4..=5 => 5,
+                    _ => 8,
+                };
+                prop_assert_eq!(pc.decode(j), expect);
+            }
+        }
     }
 }

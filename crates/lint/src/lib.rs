@@ -11,43 +11,53 @@
 //! Rust lexer (no `syn` — the workspace builds `--offline` with path-local
 //! dependencies only).
 //!
-//! Analysis is two-pass ([`rules::analyze_units`]): pass 1 runs the
-//! per-file rules and builds a [`index::SymbolIndex`] over the whole
-//! corpus; pass 2 runs the cross-crate semantic rules (fast/reference
-//! twin discipline, time-unit mixing) and audits every allow-pragma for
+//! Analysis is one pass per file ([`rules::analyze`]): the rules run
+//! over the file's tokens, then every allow-pragma in it is audited for
 //! liveness (`dead-pragma`). Invariants the type system can hold are not
-//! lint rules: run configs are sealed against struct literals, and every
-//! statistics fold destructures its input exhaustively.
+//! lint rules: run configs are sealed against struct literals, every
+//! statistics fold destructures its input exhaustively, reference
+//! kernels are `#[cfg(test)]` with `dead_code` denied (a reference
+//! without an equivalence test fails the test build), and the one
+//! ns→ps conversion returns `Picos`.
 //!
 //! See DESIGN.md §11 for the rule catalog and the pragma grammar, and
 //! [`rules::RULES`] for the machine-readable version.
 
-pub mod index;
-pub mod lexer;
-pub mod pragma;
+pub(crate) mod lexer;
+pub(crate) mod pragma;
 pub mod rules;
-pub(crate) mod semantic;
 pub mod workspace;
 
-pub use rules::{
-    analyze, analyze_units, AnalysisReport, Finding, RuleInfo, RuleStat, SourceUnit, RULES,
-};
+pub use rules::{analyze, Finding, RuleInfo, RULES};
 
 use std::io;
 use std::path::Path;
 
-/// Lints every source file under `root` with both passes and returns the
-/// full report (findings sorted by path then position, plus per-rule
-/// stats).
+/// The result of linting a workspace.
+#[derive(Debug)]
+pub struct AnalysisReport {
+    /// All findings, sorted by (path, line, col, rule).
+    pub findings: Vec<Finding>,
+    /// Number of files analyzed.
+    pub files: usize,
+}
+
+/// Lints every source file under `root` and returns the full report.
 pub fn run_workspace(root: &Path) -> io::Result<AnalysisReport> {
-    let mut units = Vec::new();
-    for file in workspace::discover(root)? {
-        units.push(SourceUnit {
-            source: std::fs::read_to_string(&file.abs_path)?,
-            rel_path: file.rel_path,
-        });
+    let files = workspace::discover(root)?;
+    let mut findings = Vec::new();
+    // `discover` sorts by path and `analyze` sorts each file's findings by
+    // position, so the concatenation is in (path, line, col, rule) order.
+    for file in &files {
+        findings.extend(analyze(
+            &file.rel_path,
+            &std::fs::read_to_string(&file.abs_path)?,
+        ));
     }
-    Ok(analyze_units(&units))
+    Ok(AnalysisReport {
+        findings,
+        files: files.len(),
+    })
 }
 
 /// A fixture's declared expectation (`// expect:` header).
@@ -64,8 +74,8 @@ pub struct Expectation {
 pub struct FixtureReport {
     /// Fixture path relative to the fixture directory.
     pub fixture: String,
-    /// Virtual workspace path of the fixture's first unit
-    /// (`// path:` header, or the fixture path itself).
+    /// Virtual workspace path of the fixture (`// path:` header, or the
+    /// fixture path itself).
     pub virtual_path: String,
     /// Rule (and optionally position) the fixture expects to fire
     /// (`// expect:` header), if any.
@@ -102,13 +112,6 @@ impl FixtureReport {
 /// `path:` sets the virtual workspace path the path-scoped rules see;
 /// `expect:` declares the single rule the snippet must fire, optionally
 /// pinned to an exact `line:col` (absent for clean fixtures).
-///
-/// For the cross-crate rules a fixture can fabricate a multi-file corpus
-/// with `// file: <virtual path>` section markers: everything before the
-/// first marker is the primary unit, each marker starts a new unit under
-/// the given path. Later units keep fixture-absolute line numbers (they
-/// are padded to their section's position), so `expect:` positions always
-/// refer to lines of the fixture file itself.
 pub fn run_fixtures(dir: &Path) -> io::Result<Vec<FixtureReport>> {
     let mut reports = Vec::new();
     let mut files = Vec::new();
@@ -121,13 +124,11 @@ pub fn run_fixtures(dir: &Path) -> io::Result<Vec<FixtureReport>> {
     Ok(reports)
 }
 
-/// Lints one fixture from its raw contents (exposed so tests can mutate a
-/// fixture in memory and assert the corpus self-check catches the change).
-pub fn run_fixture_source(fixture: &str, source: &str) -> FixtureReport {
+/// Lints one fixture from its raw contents.
+fn run_fixture_source(fixture: &str, source: &str) -> FixtureReport {
     let virtual_path = header(source, "path:").unwrap_or_else(|| fixture.to_string());
     let expected = header(source, "expect:").map(|raw| parse_expectation(&raw));
-    let units = split_units(&virtual_path, source);
-    let findings = analyze_units(&units).findings;
+    let findings = analyze(&virtual_path, source);
     FixtureReport {
         fixture: fixture.to_string(),
         virtual_path,
@@ -152,38 +153,6 @@ fn parse_expectation(raw: &str) -> Expectation {
         rule: raw.trim().to_string(),
         pos: None,
     }
-}
-
-/// Splits a fixture into its virtual corpus at `// file:` markers. Each
-/// later unit is padded with blank lines so token positions stay
-/// fixture-absolute.
-fn split_units(primary_path: &str, source: &str) -> Vec<SourceUnit> {
-    let mut units = Vec::new();
-    let mut path = primary_path.to_string();
-    let mut body = String::new();
-    let mut flushed_any = false;
-    for (i, line) in source.lines().enumerate() {
-        if let Some(marker) = line.trim().strip_prefix("// file:") {
-            units.push(SourceUnit {
-                rel_path: std::mem::replace(&mut path, marker.trim().to_string()),
-                source: std::mem::take(&mut body),
-            });
-            flushed_any = true;
-            // The next unit starts after the marker line; pad so its code
-            // keeps fixture-absolute line numbers.
-            body = "\n".repeat(i + 1);
-            continue;
-        }
-        body.push_str(line);
-        body.push('\n');
-    }
-    if !body.trim().is_empty() || !flushed_any {
-        units.push(SourceUnit {
-            rel_path: path,
-            source: body,
-        });
-    }
-    units
 }
 
 fn collect_fixture_files(
@@ -306,31 +275,12 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_expectation("unit-mixing"),
+            parse_expectation("dead-pragma"),
             Expectation {
-                rule: "unit-mixing".to_string(),
+                rule: "dead-pragma".to_string(),
                 pos: None,
             }
         );
-    }
-
-    #[test]
-    fn split_units_preserves_fixture_absolute_lines() {
-        let src = "// path: crates/a/src/lib.rs\npub fn a() {}\n// file: crates/b/src/lib.rs\npub fn b() {}\n";
-        let units = split_units("crates/a/src/lib.rs", src);
-        assert_eq!(units.len(), 2);
-        assert_eq!(units[0].rel_path, "crates/a/src/lib.rs");
-        assert_eq!(units[1].rel_path, "crates/b/src/lib.rs");
-        // `pub fn b` sits on fixture line 4; the padded unit must agree.
-        let lexed = lexer::lex(&units[1].source);
-        assert_eq!(lexed.tokens[0].line, 4);
-    }
-
-    #[test]
-    fn single_file_fixture_is_one_unit() {
-        let units = split_units("crates/a/src/lib.rs", "pub fn a() {}\n");
-        assert_eq!(units.len(), 1);
-        assert_eq!(units[0].rel_path, "crates/a/src/lib.rs");
     }
 
     #[test]

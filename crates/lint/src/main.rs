@@ -1,8 +1,7 @@
 //! CLI for `ladder-lint`.
 //!
 //! ```text
-//! ladder-lint [--root DIR] [--json] [--stats] [--list-rules]
-//!             [--fixtures DIR]
+//! ladder-lint [--root DIR] [--json] [--list-rules] [--fixtures DIR]
 //! ```
 //!
 //! Exit codes (stable, asserted by the test suite):
@@ -14,7 +13,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ladder_lint::{run_fixtures, run_workspace, to_json, Finding, RuleStat, RULES};
+use ladder_lint::{run_fixtures, run_workspace, to_json, Finding, RULES};
 
 const USAGE: &str = "\
 ladder-lint — workspace determinism & accounting conformance analyzer
@@ -25,7 +24,6 @@ USAGE:
 OPTIONS:
     --root DIR        workspace root to lint (default: .)
     --json            emit findings as a JSON array
-    --stats           print a per-rule findings/time table to stderr
     --fixtures DIR    lint a fixture corpus (virtual `// path:` headers)
                       instead of the workspace
     --list-rules      print the rule catalog and exit
@@ -40,7 +38,6 @@ EXIT CODES:
 struct Options {
     root: PathBuf,
     json: bool,
-    stats: bool,
     fixtures: Option<PathBuf>,
     list_rules: bool,
 }
@@ -49,7 +46,6 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: PathBuf::from("."),
         json: false,
-        stats: false,
         fixtures: None,
         list_rules: false,
     };
@@ -61,7 +57,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.root = PathBuf::from(value);
             }
             "--json" => opts.json = true,
-            "--stats" => opts.stats = true,
             "--fixtures" => {
                 let value = args.next().ok_or("--fixtures needs a directory")?;
                 opts.fixtures = Some(PathBuf::from(value));
@@ -75,20 +70,6 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     Ok(opts)
-}
-
-fn print_stats(files: usize, stats: &[RuleStat]) {
-    eprintln!("ladder-lint: analyzed {files} files");
-    eprintln!("{:<24} {:>8} {:>12}", "rule", "findings", "time");
-    for s in stats {
-        eprintln!(
-            "{:<24} {:>8} {:>9}.{:03} ms",
-            s.rule,
-            s.findings,
-            s.nanos / 1_000_000,
-            (s.nanos / 1_000) % 1_000
-        );
-    }
 }
 
 fn main() -> ExitCode {
@@ -118,12 +99,7 @@ fn main() -> ExitCode {
         }
     } else {
         match run_workspace(&opts.root) {
-            Ok(report) => {
-                if opts.stats {
-                    print_stats(report.files, &report.stats);
-                }
-                report.findings
-            }
+            Ok(report) => report.findings,
             Err(e) => {
                 eprintln!("error: cannot lint {}: {e}", opts.root.display());
                 return ExitCode::from(2);

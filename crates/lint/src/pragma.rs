@@ -13,8 +13,8 @@
 //! never silently disable anything. The separator before the
 //! justification may be `—`, `–`, `-` or just whitespace.
 //!
-//! Pragmas are audited, not just consulted: the analysis pipeline
-//! ([`crate::rules::analyze_units`]) records which pragma suppressed
+//! Pragmas are audited, not just consulted: the analysis of each file
+//! ([`crate::rules::analyze`]) records which pragma suppressed
 //! which finding, and a well-formed pragma that suppresses nothing is
 //! reported under the `dead-pragma` rule — stale escape hatches cannot
 //! outlive the violation they once justified.
@@ -64,11 +64,6 @@ pub struct Pragmas {
 }
 
 impl Pragmas {
-    /// Whether `rule` is allowed at `line` by some pragma.
-    pub fn allows(&self, rule: &str, line: usize) -> bool {
-        self.covering(rule, line).is_some()
-    }
-
     /// Index of the first pragma covering `rule` at `line`, if any.
     pub fn covering(&self, rule: &str, line: usize) -> Option<usize> {
         self.pragmas.iter().position(|p| p.covers(rule, line))
@@ -163,9 +158,9 @@ mod tests {
     #[test]
     fn trailing_pragma_covers_its_own_line_only() {
         let p = collect(&[comment(7, false, " lint: allow(panic-policy) — invariant")]);
-        assert!(p.allows("panic-policy", 7));
-        assert!(!p.allows("panic-policy", 8));
-        assert!(!p.allows("hash-iter", 7));
+        assert!(p.covering("panic-policy", 7).is_some());
+        assert!(p.covering("panic-policy", 8).is_none());
+        assert!(p.covering("hash-iter", 7).is_none());
         assert!(p.errors.is_empty());
         assert_eq!(p.pragmas[0].col, 40);
     }
@@ -173,9 +168,9 @@ mod tests {
     #[test]
     fn own_line_pragma_also_covers_the_next_line() {
         let p = collect(&[comment(3, true, " lint: allow(wall-clock) -- progress bar")]);
-        assert!(p.allows("wall-clock", 3));
-        assert!(p.allows("wall-clock", 4));
-        assert!(!p.allows("wall-clock", 5));
+        assert!(p.covering("wall-clock", 3).is_some());
+        assert!(p.covering("wall-clock", 4).is_some());
+        assert!(p.covering("wall-clock", 5).is_none());
     }
 
     #[test]
@@ -194,7 +189,7 @@ mod tests {
         let p = collect(&[comment(1, true, " lint: allow(no-such-rule) — whatever")]);
         assert_eq!(p.errors.len(), 1);
         assert!(p.errors[0].message.contains("no-such-rule"));
-        assert!(!p.allows("no-such-rule", 1));
+        assert!(p.covering("no-such-rule", 1).is_none());
         assert!(p.pragmas.is_empty());
     }
 
@@ -221,7 +216,7 @@ mod tests {
             let text = format!(" lint: allow(ambient-rng) {sep} seeded elsewhere");
             let p = collect(&[comment(1, true, &text)]);
             assert!(p.errors.is_empty(), "sep {sep:?}: {:?}", p.errors);
-            assert!(p.allows("ambient-rng", 1));
+            assert!(p.covering("ambient-rng", 1).is_some());
         }
     }
 }

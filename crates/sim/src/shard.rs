@@ -134,8 +134,8 @@ fn simulate(
 /// * the trace, when every shard traced, carries `merge_digests` over
 ///   the shard digests plus the summed record counts and merged totals;
 ///   its per-component parts stay on the shards;
-/// * `cache_hit`, `fnw`, `cw_trace` and `wear` describe one controller
-///   and do not fold, so they are `None`: read them per shard.
+/// * `cache_hit`, `fnw` and `wear` describe one controller and do not
+///   fold, so they are `None`: read them per shard.
 fn fold_shards(topology: Option<Topology>, shards: Cow<'_, [RunResult]>) -> RunResult {
     if topology.is_none() && shards.len() == 1 {
         return shards.into_owned().swap_remove(0);
@@ -161,7 +161,6 @@ fn fold_shards(topology: Option<Topology>, shards: Cow<'_, [RunResult]>) -> RunR
             mem: shard_mem,
             energy: EnergyBreakdown { read_pj, write_pj },
             end: shard_end,
-            cw_trace: _,
             cache_hit: _,
             fnw: _,
             read_histogram: shard_histogram,
@@ -222,7 +221,6 @@ fn fold_shards(topology: Option<Topology>, shards: Cow<'_, [RunResult]>) -> RunR
         mem,
         energy,
         end,
-        cw_trace: None,
         cache_hit: None,
         fnw: None,
         read_histogram,

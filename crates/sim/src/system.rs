@@ -18,7 +18,7 @@ use ladder_cpu::{Core, CoreAction, CoreConfig, TraceOp, TraceSource};
 use ladder_energy::{EnergyBreakdown, EnergyMeter, EnergyParams};
 use ladder_faults::{CellFaultModel, FaultConfig, FaultStats, SharedCellFaultModel};
 use ladder_memctrl::{
-    CtrlWake, CwTrace, LatencyHistogram, MemCtrlConfig, MemStats, MemoryController, ReqId, Tables,
+    CtrlWake, LatencyHistogram, MemCtrlConfig, MemStats, MemoryController, ReqId, Tables,
 };
 use ladder_reram::{
     AddressMap, EventQueue, Geometry, Instant, Interleave, LineAddr, LineData, Picos,
@@ -60,8 +60,6 @@ pub struct RunResult {
     pub energy: EnergyBreakdown,
     /// Final simulated time (after the closing drain).
     pub end: Instant,
-    /// Estimation-accuracy trace (LADDER schemes with tracking enabled).
-    pub cw_trace: Option<CwTrace>,
     /// Metadata-cache hit ratio (LADDER schemes).
     pub cache_hit: Option<f64>,
     /// `(flips cancelled, flip opportunities)` under constrained FNW
@@ -161,13 +159,6 @@ impl RunResult {
                 );
             }
         }
-        if let Some(t) = self.cw_trace {
-            let _ = writeln!(
-                out,
-                "  counter estimate − exact (mean): {:.1}",
-                t.mean_diff()
-            );
-        }
         if let Some(f) = self.faults {
             // Only report when the model actually did something, so an
             // inert (rate-0) run renders identically to a no-fault run.
@@ -221,18 +212,14 @@ pub struct SystemBuilder {
     interleave: Interleave,
     shard: Option<u32>,
     mem_cfg: MemCtrlConfig,
-    core_cfg: CoreConfig,
-    params: CrossbarParams,
     ladder_table: TimingTable,
     blp_table: TimingTable,
     scheme: Scheme,
     traces: Vec<Box<dyn TraceSource>>,
     core_mlps: Vec<usize>,
-    track_exact: bool,
     track_wear: bool,
     leveler: Option<Box<dyn WearLeveler>>,
     hwl: Option<RotateHwl>,
-    energy_params: EnergyParams,
     ladder_override: Option<LadderConfig>,
     fault_cfg: Option<FaultConfig>,
     coding: CodingKind,
@@ -255,18 +242,14 @@ impl SystemBuilder {
             interleave: Interleave::Channel,
             shard: None,
             mem_cfg: MemCtrlConfig::default(),
-            core_cfg: CoreConfig::default(),
-            params: CrossbarParams::default(),
             ladder_table,
             blp_table,
             scheme,
             traces: Vec::new(),
             core_mlps: Vec::new(),
-            track_exact: false,
             track_wear: false,
             leveler: None,
             hwl: None,
-            energy_params: EnergyParams::default(),
             ladder_override: None,
             fault_cfg: None,
             coding: CodingKind::Flat,
@@ -339,12 +322,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Enables the per-write exact-counter trace (Fig. 15).
-    pub fn track_exact(&mut self, on: bool) -> &mut Self {
-        self.track_exact = on;
-        self
-    }
-
     /// Enables wear tracking.
     pub fn track_wear(&mut self, on: bool) -> &mut Self {
         self.track_wear = on;
@@ -407,13 +384,12 @@ impl SystemBuilder {
             "at least one core or a service stream required"
         );
         let map = AddressMap::with_interleave(self.geometry.clone(), self.interleave);
-        let policy = self.scheme.build_policy_with(
-            &self.params,
+        let policy = self.scheme.build_policy(
+            &CrossbarParams::default(),
             &self.ladder_table,
             &self.blp_table,
             &map,
-            self.track_exact,
-            self.ladder_override.clone(),
+            self.ladder_override,
         );
         let mut mc = MemoryController::new(self.mem_cfg, map, policy);
         let wear = if self.track_wear {
@@ -453,7 +429,7 @@ impl SystemBuilder {
             .map(|(t, &mlp)| {
                 let cfg = CoreConfig {
                     mlp,
-                    ..self.core_cfg
+                    ..CoreConfig::default()
                 };
                 Core::new(cfg, t)
             })
@@ -541,7 +517,7 @@ impl SystemBuilder {
         };
 
         let mem = sim.mc.stats();
-        let mut meter = EnergyMeter::new(self.energy_params);
+        let mut meter = EnergyMeter::new(EnergyParams::default());
         meter.record_reads(mem.demand_reads + mem.smb_reads + mem.metadata_reads);
         meter.record_write_aggregate(
             mem.t_wr_data + mem.t_wr_metadata,
@@ -554,7 +530,6 @@ impl SystemBuilder {
             mem,
             energy: meter.breakdown(),
             end,
-            cw_trace: sim.mc.policy().cw_trace(),
             cache_hit: sim.mc.policy().cache_hit_ratio(),
             fnw: sim.mc.policy().fnw_stats(),
             read_histogram: sim.mc.read_histogram().clone(),

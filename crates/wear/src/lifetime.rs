@@ -50,11 +50,6 @@ impl WearMap {
         self.counts.values().sum()
     }
 
-    /// Lines ever written.
-    pub fn lines_touched(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Writes observed on one specific line.
     pub fn line_writes(&self, addr: LineAddr) -> u64 {
         self.counts.get(&addr.raw()).copied().unwrap_or(0)

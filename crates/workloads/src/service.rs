@@ -518,11 +518,6 @@ impl ServiceGen {
         &self.mix
     }
 
-    /// The arrival process's display name.
-    pub fn arrival_name(&self) -> &'static str {
-        self.arrivals.name()
-    }
-
     /// Scatters a dense key index over a tenant's page window: a
     /// SplitMix64-style hash keyed by the tenant index, so hot keys land
     /// on unrelated pages (and therefore unrelated banks after address

@@ -7,6 +7,8 @@
 //! best-case and worst-case operating voltages of a full-size crossbar
 //! mapped to the paper's `tWR` range of 29–658 ns.
 
+use ladder_reram::Picos;
+
 /// Exponential RESET latency law.
 ///
 /// # Examples
@@ -57,9 +59,19 @@ impl LatencyLaw {
         self.c_ns * (-self.k_per_volt * vd.abs()).exp()
     }
 
-    /// Latency in integer picoseconds, rounded up (conservative).
-    pub fn latency_ps(&self, vd: f64) -> u64 {
-        (self.latency_ns(vd) * 1000.0).ceil() as u64
+    /// Latency in whole picoseconds, rounded up (conservative): the one
+    /// place a nanosecond latency crosses into the picosecond domain the
+    /// timing tables hold. The [`Picos`] return type keeps nanoseconds
+    /// out of picosecond arithmetic:
+    ///
+    /// ```compile_fail,E0308
+    /// use ladder_xbar::LatencyLaw;
+    ///
+    /// let law = LatencyLaw::calibrate(2.8, 29.0, 1.8, 658.0);
+    /// let _ = law.latency_ps(2.0) + 1u64;
+    /// ```
+    pub fn latency_ps(&self, vd: f64) -> Picos {
+        Picos::from_ns(self.latency_ns(vd))
     }
 }
 
@@ -104,12 +116,12 @@ mod tests {
             c_ns: 1.0,
             k_per_volt: 0.0,
         };
-        assert_eq!(law.latency_ps(1.0), 1000);
+        assert_eq!(law.latency_ps(1.0).as_ps(), 1000);
         let law2 = LatencyLaw {
             c_ns: 1.0001,
             k_per_volt: 0.0,
         };
-        assert_eq!(law2.latency_ps(1.0), 1001); // 1.0001 ns rounds up to 1001 ps
+        assert_eq!(law2.latency_ps(1.0).as_ps(), 1001); // 1.0001 ns rounds up to 1001 ps
     }
 
     #[test]

@@ -264,7 +264,7 @@ impl TimingTable {
             }
         };
         for (slot, vd) in entries.iter_mut().zip(vds?) {
-            let ps = cfg.law.latency_ps(vd);
+            let ps = cfg.law.latency_ps(vd).as_ps();
             *slot = u32::try_from(ps).map_err(|_| MnaError::LatencyOverflow { ps })?;
         }
         Ok(Self::assemble(
@@ -340,8 +340,8 @@ impl TimingTable {
     ///
     /// This is the hot path of every simulated write: three precomputed
     /// band-LUT reads and one flat row-major index — no divisions. It is
-    /// bit-identical to [`TimingTable::lookup_ps_reference`], the legacy
-    /// nested-division formulation kept as the reference implementation.
+    /// bit-identical to the legacy nested-division formulation, which the
+    /// tests keep as its reference implementation.
     ///
     /// # Panics
     ///
@@ -358,14 +358,17 @@ impl TimingTable {
     }
 
     /// Reference implementation of [`TimingTable::lookup_ps`]: the original
-    /// per-call band arithmetic (three integer divisions). Kept so property
-    /// tests can prove the quantized fast path returns bit-identical
-    /// latencies for every `⟨WL, BL, C_lrs⟩` cell.
+    /// per-call band arithmetic (three integer divisions). Test-only, with
+    /// `dead_code` denied, so it exists exactly as long as a test proves
+    /// the quantized fast path bit-identical to it for every
+    /// `⟨WL, BL, C_lrs⟩` cell.
     ///
     /// # Panics
     ///
     /// Panics if `wl` or `bl` is out of bounds.
-    pub fn lookup_ps_reference(&self, wl: usize, bl: usize, c_lrs: usize) -> u64 {
+    #[cfg(test)]
+    #[deny(dead_code)]
+    fn lookup_ps_reference(&self, wl: usize, bl: usize, c_lrs: usize) -> u64 {
         assert!(wl < self.rows, "wordline {wl} out of bounds");
         assert!(bl < self.cols, "bitline {bl} out of bounds");
         let content_len = match self.content_axis {
@@ -533,7 +536,7 @@ pub fn worst_latency_for_selected(params: &CrossbarParams, law: LatencyLaw, n_ce
     .iter()
     .map(|&(_, v)| v)
     .fold(f64::INFINITY, f64::min);
-    law.latency_ps(vd)
+    law.latency_ps(vd).as_ps()
 }
 
 /// RESET latency (ns) as a function of the selected wordline's LRS
@@ -579,9 +582,32 @@ pub fn latency_vs_wl_content(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn default_table() -> TimingTable {
         TimingTable::generate(&TableConfig::ladder_default()).expect("generate")
+    }
+
+    /// The default LADDER table, generated once per process (generating it
+    /// per proptest case would dominate the suite's runtime).
+    fn shared_table() -> &'static TimingTable {
+        use std::sync::OnceLock;
+        static TABLE: OnceLock<TimingTable> = OnceLock::new();
+        TABLE.get_or_init(default_table)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn quantized_table_lookup_matches_reference(
+            wl in 0usize..512,
+            bl in 0usize..512,
+            c in prop_oneof![Just(0usize), 0usize..=512, Just(usize::MAX)],
+        ) {
+            let t = shared_table();
+            prop_assert_eq!(t.lookup_ps(wl, bl, c), t.lookup_ps_reference(wl, bl, c));
+        }
     }
 
     #[test]

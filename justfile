@@ -16,11 +16,10 @@ clippy:
     cargo fmt --manifest-path perfbench/Cargo.toml -- --check
     cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
-# Project-invariant static analysis: per-file rules (determinism,
-# accounting safety, panic policy, bench-binary conformance) plus the
-# cross-crate semantic pass (fast/reference twins, time-unit mixing,
-# dead pragmas). `--json`, `--stats` and `--list-rules` are also
-# available on the binary; see DESIGN.md §11.
+# Project-invariant static analysis, one pass per file: determinism,
+# accounting safety, panic policy, bench-binary conformance and dead
+# pragmas. `--json` and `--list-rules` are also available on the binary;
+# see DESIGN.md §11.
 lint:
     cargo run --release -q -p ladder-lint --offline -- --root .
 

@@ -13,7 +13,8 @@ cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 
 # The root manifest's default-members cover every workspace crate, so
 # these are the tier-1 commands. The tests include the golden digests,
-# the hot-loop equivalence battery and the ladder-lint gates
+# the fast-path/reference property tests (whose test-only references
+# fail this build if a test stops calling them) and the ladder-lint gates
 # (workspace_clean.rs, cli.rs's fixture-corpus exit codes).
 echo "==> cargo build --release"
 cargo build --release --offline
