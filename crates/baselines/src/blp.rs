@@ -72,21 +72,17 @@ impl BitlineProfiler {
             .counters
             .entry(key)
             .or_insert_with(|| Box::new([0u16; LINE_BYTES * BITS_PER_BYTE]));
-        for mat in 0..LINE_BYTES {
-            let changed = old_stored[mat] ^ new_stored[mat];
-            if changed == 0 {
-                continue;
-            }
-            for bit in 0..BITS_PER_BYTE {
-                if (changed >> bit) & 1 == 1 {
-                    let c = &mut counters[mat * BITS_PER_BYTE + bit];
-                    if (new_stored[mat] >> bit) & 1 == 1 {
-                        *c += 1;
-                    } else {
-                        debug_assert!(*c > 0, "bitline counter underflow");
-                        *c = c.saturating_sub(1);
-                    }
-                }
+        // Branch-free per-byte update: a 0→1 bit adds one to its bitline,
+        // a 1→0 bit takes one away (saturating at zero).
+        for (mat, bitlines) in counters.chunks_exact_mut(BITS_PER_BYTE).enumerate() {
+            let (old, new) = (old_stored[mat], new_stored[mat]);
+            let (set, reset) = (new & !old, old & !new);
+            for (bit, c) in bitlines.iter_mut().enumerate() {
+                debug_assert!(
+                    *c > 0 || (reset >> bit) & 1 == 0,
+                    "bitline counter underflow"
+                );
+                *c = c.saturating_sub(u16::from((reset >> bit) & 1)) + u16::from((set >> bit) & 1);
             }
         }
     }
@@ -107,6 +103,68 @@ impl BitlineProfiler {
 mod tests {
     use super::*;
     use ladder_reram::Geometry;
+    use proptest::prelude::*;
+
+    /// The bit-serial update [`BitlineProfiler::record_write`] replaced:
+    /// the oracle of its property test.
+    #[deny(dead_code)]
+    fn record_write_reference(
+        counters: &mut [u16; LINE_BYTES * BITS_PER_BYTE],
+        old_stored: &LineData,
+        new_stored: &LineData,
+    ) {
+        for mat in 0..LINE_BYTES {
+            let changed = old_stored[mat] ^ new_stored[mat];
+            if changed == 0 {
+                continue;
+            }
+            for bit in 0..BITS_PER_BYTE {
+                if (changed >> bit) & 1 == 1 {
+                    let c = &mut counters[mat * BITS_PER_BYTE + bit];
+                    if (new_stored[mat] >> bit) & 1 == 1 {
+                        *c += 1;
+                    } else {
+                        *c = c.saturating_sub(1);
+                    }
+                }
+            }
+        }
+    }
+
+    fn arb_line() -> impl Strategy<Value = LineData> {
+        prop::collection::vec(any::<u8>(), LINE_BYTES).prop_map(|v| {
+            let mut a = [0u8; LINE_BYTES];
+            a.copy_from_slice(&v);
+            a
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The branch-free update matches the bit-serial one on random
+        /// write streams over a few lines sharing one array and slot,
+        /// images chained old → new as the policy feeds them.
+        #[test]
+        fn record_write_matches_the_bit_serial_reference(
+            writes in prop::collection::vec((0u64..4, arb_line()), 1..24),
+        ) {
+            let map = map();
+            let pages_per_wl = map.geometry().total_banks() as u64;
+            let mut p = BitlineProfiler::new();
+            let mut reference = [0u16; LINE_BYTES * BITS_PER_BYTE];
+            let mut images = [[0u8; LINE_BYTES]; 4];
+            for (line, new) in writes {
+                let addr = LineAddr::new(line * pages_per_wl * 64);
+                let old = images[line as usize];
+                p.record_write(&map, addr, &old, &new);
+                record_write_reference(&mut reference, &old, &new);
+                images[line as usize] = new;
+            }
+            let key = (BitlineProfiler::array_of(&map, LineAddr::new(0)), 0);
+            prop_assert_eq!(&p.counters[&key][..], &reference[..]);
+        }
+    }
 
     fn map() -> AddressMap {
         AddressMap::new(Geometry::default())

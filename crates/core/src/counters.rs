@@ -6,7 +6,8 @@
 //! range 0–512 and are stored 10-bit-packed: 80 B, spanning two 64 B
 //! metadata lines.
 
-use ladder_reram::{LineData, LINES_PER_WLG, LINE_BYTES};
+use ladder_reram::{bits, LineData, LineMap, WlgId, LINES_PER_WLG, LINE_BYTES};
+use std::collections::hash_map::Entry;
 
 /// Counters of one LRS-counter group (one per mat wordline).
 ///
@@ -52,8 +53,10 @@ impl LrsCounterGroup {
         let mut g = Self::new();
         let mut seen = 0;
         for data in lines {
-            for (i, b) in data.iter().enumerate() {
-                g.counters[i] += b.count_ones() as u16;
+            for (counters, ones) in g.counters.chunks_exact_mut(8).zip(byte_ones(data)) {
+                for (c, n) in counters.iter_mut().zip(ones) {
+                    *c += n as u16;
+                }
             }
             seen += 1;
         }
@@ -69,10 +72,12 @@ impl LrsCounterGroup {
     /// a conservative crash-correction overwrite, where counters start
     /// saturated by design.
     pub fn apply_delta(&mut self, old: &LineData, new: &LineData) {
-        for i in 0..LINE_BYTES {
-            let delta = new[i].count_ones() as i32 - old[i].count_ones() as i32;
-            let v = self.counters[i] as i32 + delta;
-            self.counters[i] = v.clamp(0, COUNTER_MAX as i32) as u16;
+        let lanes = byte_ones(old).zip(byte_ones(new));
+        for (counters, (old, new)) in self.counters.chunks_exact_mut(8).zip(lanes) {
+            for ((c, o), n) in counters.iter_mut().zip(old).zip(new) {
+                let v = *c as i32 + n as i32 - o as i32;
+                *c = v.clamp(0, COUNTER_MAX as i32) as u16;
+            }
         }
     }
 
@@ -142,6 +147,61 @@ impl LrsCounterGroup {
         packed[..LINE_BYTES].copy_from_slice(&lines[0]);
         packed[LINE_BYTES..].copy_from_slice(&lines[1][..PACKED_BYTES - LINE_BYTES]);
         Self::unpack(&packed)
+    }
+}
+
+/// Per-byte popcounts of a line, eight bytes per step.
+fn byte_ones(data: &LineData) -> impl Iterator<Item = [u8; 8]> + '_ {
+    (0..LINE_BYTES)
+        .step_by(8)
+        .map(|base| bits::lane_ones(bits::le_word(data, base)).to_le_bytes())
+}
+
+/// Exact `C^w_lrs` of every wordline group a write stream has touched,
+/// kept as per-mat LRS counts that move by each written line's delta — the
+/// counters the Oracle (and the Fig. 15 accurate reference) assume for
+/// free, instead of a 64-line recount per write.
+///
+/// A group is filled by one recount the first time it is written. The
+/// counts stay exact only while nothing but the writes fed here changes
+/// the group's lines; an owner whose store can change behind its back
+/// (stuck-at faults) passes `faulted`, and every write recounts.
+#[derive(Debug, Clone, Default)]
+pub struct ExactCwCounts {
+    groups: LineMap<LrsCounterGroup>,
+}
+
+impl ExactCwCounts {
+    /// No group tracked yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The `C^w_lrs` of `wlg` after a write changed one of its lines from
+    /// `old` to `new`. `lines` yields the group's lines as they are after
+    /// the write; it runs only for a recount — the group's first write,
+    /// or any write while `faulted`.
+    pub fn after_write(
+        &mut self,
+        wlg: WlgId,
+        old: &LineData,
+        new: &LineData,
+        faulted: bool,
+        lines: impl FnOnce() -> Vec<LineData>,
+    ) -> u16 {
+        if faulted {
+            self.groups = LineMap::default();
+            return LrsCounterGroup::from_lines(lines().iter()).max();
+        }
+        let group = match self.groups.entry(wlg.0) {
+            Entry::Occupied(group) => {
+                let group = group.into_mut();
+                group.apply_delta(old, new);
+                group
+            }
+            Entry::Vacant(slot) => slot.insert(LrsCounterGroup::from_lines(lines().iter())),
+        };
+        group.max()
     }
 }
 

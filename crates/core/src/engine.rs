@@ -9,15 +9,12 @@
 //! lookup plus the cell-switching statistics for energy/endurance models).
 
 use crate::cache::{InsertOutcome, MetadataCache, MetadataCacheConfig};
-use crate::counters::LrsCounterGroup;
+use crate::counters::{ExactCwCounts, LrsCounterGroup};
 use crate::fnw::{apply_fnw, undo_fnw, FnwPolicy};
 use crate::metadata::{MetadataFormat, MetadataLayout, MetadataRef};
-use crate::partial::{
-    estimate_cw_lrs, estimate_cw_lrs_low, exact_cw_lrs, LowPrecisionCounters, PartialCounters,
-};
+use crate::partial::{estimate_cw_lrs, estimate_cw_lrs_low, LowPrecisionCounters, PartialCounters};
 use crate::shift::{shift_line, unshift_line};
-use ladder_reram::{AddressMap, LineAddr, LineData, LineStore, LINES_PER_WLG};
-use std::collections::HashMap;
+use ladder_reram::{AddressMap, LineAddr, LineData, LineMap, LineStore, WlgId, LINES_PER_WLG};
 
 /// Which LADDER variant the engine implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,7 +164,10 @@ pub struct LadderEngine {
     map: AddressMap,
     layout: MetadataLayout,
     cache: MetadataCache,
-    flip_masks: HashMap<u64, u8>,
+    flip_masks: LineMap<u8>,
+    /// Exact per-group counts over the recovered lines, for
+    /// [`LadderConfig::track_exact`].
+    exact: ExactCwCounts,
     stats: EngineStats,
 }
 
@@ -181,7 +181,8 @@ impl LadderEngine {
             map,
             layout,
             cache,
-            flip_masks: HashMap::new(),
+            flip_masks: LineMap::default(),
+            exact: ExactCwCounts::new(),
             stats: EngineStats::default(),
         }
     }
@@ -299,6 +300,10 @@ impl LadderEngine {
             data
         };
         let old_stored = store.read(addr);
+        let old_logical = self
+            .config
+            .track_exact
+            .then(|| self.recover(addr, old_stored));
         let fnw = apply_fnw(&shifted, &old_stored, self.config.fnw);
         self.stats.flips_cancelled += fnw.flips_cancelled as u64;
         self.stats.flip_opportunities += (fnw.flip_mask.count_ones() + fnw.flips_cancelled) as u64;
@@ -346,23 +351,17 @@ impl LadderEngine {
         // — i.e. over the *recovered* lines, post-write. Comparing the
         // estimate against this exposes both estimation slack (positive
         // differences) and the flattening effect of bit shifting (negative
-        // differences).
-        let cw_exact = if self.config.track_exact {
-            let datas: Vec<LineData> = self
-                .map
-                .lines_of_wlg(wlg)
-                .map(|l| {
-                    if l == addr {
-                        data
-                    } else {
-                        self.read_line(l, store)
-                    }
-                })
-                .collect();
-            Some(exact_cw_lrs(datas.iter()))
-        } else {
-            None
-        };
+        // differences). Kept incrementally from the written line's
+        // logical delta.
+        let cw_exact = old_logical.map(|old| {
+            let mut exact = std::mem::take(&mut self.exact);
+            let faulted = store.faulted_lines() > 0;
+            let cw = exact.after_write(wlg, &old, &data, faulted, || {
+                self.logical_lines(wlg, addr, &data, store)
+            });
+            self.exact = exact;
+            cw
+        });
 
         ServiceOutcome {
             wordline,
@@ -375,10 +374,35 @@ impl LadderEngine {
         }
     }
 
+    /// The recovered contents of `wlg`'s lines right after `addr` was
+    /// written with `data`.
+    fn logical_lines(
+        &self,
+        wlg: WlgId,
+        addr: LineAddr,
+        data: &LineData,
+        store: &LineStore,
+    ) -> Vec<LineData> {
+        self.map
+            .lines_of_wlg(wlg)
+            .map(|l| {
+                if l == addr {
+                    *data
+                } else {
+                    self.read_line(l, store)
+                }
+            })
+            .collect()
+    }
+
     /// Reads a line back through the reverse transforms (un-flip, then
     /// un-shift), recovering the original data.
     pub fn read_line(&self, addr: LineAddr, store: &LineStore) -> LineData {
-        let stored = store.read(addr);
+        self.recover(addr, store.read(addr))
+    }
+
+    /// The original data of `addr` whose stored image is `stored`.
+    fn recover(&self, addr: LineAddr, stored: LineData) -> LineData {
         let unflipped = match self.flip_masks.get(&addr.raw()) {
             Some(&mask) => undo_fnw(&stored, mask),
             None => stored,
@@ -456,7 +480,9 @@ impl LadderEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ladder_reram::Geometry;
+    use crate::partial::exact_cw_lrs;
+    use ladder_reram::{Geometry, LINE_BYTES};
+    use proptest::prelude::*;
 
     fn engine(variant: LadderVariant) -> (LadderEngine, LineStore) {
         engine_with(variant, |_| {})
@@ -585,9 +611,7 @@ mod tests {
             .first_low_precision_data_page()
             .expect("hybrid has a low region");
         let addr = LineAddr::new(low_page * 64);
-        assert!(e
-            .layout()
-            .is_low_precision(ladder_reram::WlgId(addr.page())));
+        assert!(e.layout().is_low_precision(WlgId(addr.page())));
         e.prepare_write(addr);
         let out = e.service_write(addr, [0u8; 64], &mut store);
         // 1-bit counters floor at 5 per line even for all-zero data.
@@ -631,5 +655,85 @@ mod tests {
         let out = e.service_write(addr, [0x08; 64], &mut store);
         assert!(out.flips_cancelled > 0);
         assert!(e.stats().flips_cancelled > 0);
+    }
+
+    /// A write to one of three wordline groups (slot, page, image), or,
+    /// when `stuck` is set, a stuck-at fault minted on that line instead.
+    type Step = (u64, u64, LineData, bool);
+
+    fn arb_line() -> impl Strategy<Value = LineData> {
+        // Dense random bytes, or sparse ones (three lines ANDed).
+        let line = || {
+            prop::collection::vec(any::<u8>(), LINE_BYTES).prop_map(|v| {
+                let mut a = [0u8; LINE_BYTES];
+                a.copy_from_slice(&v);
+                a
+            })
+        };
+        (line(), line(), line(), any::<bool>()).prop_map(|(a, b, c, sparse)| {
+            if sparse {
+                std::array::from_fn(|i| a[i] & b[i] & c[i])
+            } else {
+                a
+            }
+        })
+    }
+
+    fn arb_steps(faults: bool) -> impl Strategy<Value = Vec<Step>> {
+        prop::collection::vec(
+            (0u64..3, 0u64..64, arb_line(), 0u32..8)
+                .prop_map(move |(p, s, l, k)| (p, s, l, faults && k == 0)),
+            1..64,
+        )
+    }
+
+    /// Drives `steps` through an Est engine with `track_exact`, checking
+    /// every exact counter against the recount it replaced: the written
+    /// line's logical data plus every other line of its group recovered
+    /// from the store.
+    fn check_exact_counts(shifting: bool, steps: Vec<Step>) {
+        let (mut e, mut store) = engine_with(LadderVariant::Est, |c| c.shifting = shifting);
+        let first = e.layout().first_data_page();
+        for (page, slot, data, stuck) in steps {
+            let addr = LineAddr::new((first + page) * LINES_PER_WLG as u64 + slot);
+            if stuck {
+                store.inject_stuck(addr, data, [0; LINE_BYTES]);
+                continue;
+            }
+            e.prepare_write(addr);
+            let out = e.service_write(addr, data, &mut store);
+            let lines: Vec<LineData> = e
+                .map
+                .lines_of_wlg(e.map.wlg_of(addr))
+                .map(|l| {
+                    if l == addr {
+                        data
+                    } else {
+                        e.read_line(l, &store)
+                    }
+                })
+                .collect();
+            assert_eq!(out.cw_exact, Some(exact_cw_lrs(lines.iter())));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn incremental_exact_cw_matches_a_recount(
+            shifting in any::<bool>(),
+            steps in arb_steps(false),
+        ) {
+            check_exact_counts(shifting, steps);
+        }
+
+        #[test]
+        fn exact_cw_recounts_under_stuck_at_faults(
+            shifting in any::<bool>(),
+            steps in arb_steps(true),
+        ) {
+            check_exact_counts(shifting, steps);
+        }
     }
 }

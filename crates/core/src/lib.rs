@@ -47,7 +47,7 @@ mod partial;
 mod shift;
 
 pub use cache::{CacheStats, InsertOutcome, MetadataCache, MetadataCacheConfig};
-pub use counters::{LrsCounterGroup, COUNTER_MAX, LINES_PER_GROUP, PACKED_BYTES};
+pub use counters::{ExactCwCounts, LrsCounterGroup, COUNTER_MAX, LINES_PER_GROUP, PACKED_BYTES};
 pub use engine::{
     DependencyRead, EngineStats, LadderConfig, LadderEngine, LadderVariant, PrepareOutcome,
     ReadKind, ServiceOutcome,

@@ -24,7 +24,6 @@
 
 use crate::trace::{MemEvent, TraceOp, TraceSource};
 use ladder_reram::{Instant, LineAddr, LineData, Picos};
-use std::collections::HashSet;
 
 /// Core model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -121,7 +120,9 @@ pub struct Core {
     cursor: Instant,
     retired: u64,
     pending: Option<MemEvent>,
-    outstanding: HashSet<u64>,
+    /// Ids of issued, not yet completed reads: at most `mlp` of them, so
+    /// a linear scan beats hashing.
+    outstanding: Vec<u64>,
     blocked: Blocked,
     trace_done: bool,
     stall_time: Picos,
@@ -143,7 +144,7 @@ impl Core {
             cursor: Instant::ZERO,
             retired: 0,
             pending: None,
-            outstanding: HashSet::new(),
+            outstanding: Vec::with_capacity(config.mlp),
             blocked: Blocked::None,
             trace_done: false,
             stall_time: Picos::ZERO,
@@ -270,7 +271,7 @@ impl Core {
             TraceOp::Write { .. } => panic!("pending op is a write"),
         };
         self.retired += 1;
-        self.outstanding.insert(id);
+        self.outstanding.push(id);
         if critical {
             self.blocked = Blocked::Critical(id);
             self.begin_stall(now);
@@ -285,7 +286,9 @@ impl Core {
 
     /// A previously issued read completed.
     pub fn on_read_completed(&mut self, id: u64, at: Instant) {
-        self.outstanding.remove(&id);
+        if let Some(i) = self.outstanding.iter().position(|&o| o == id) {
+            self.outstanding.swap_remove(i);
+        }
         match self.blocked {
             Blocked::Critical(waiting) if waiting == id => {
                 self.blocked = Blocked::None;

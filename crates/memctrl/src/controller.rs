@@ -28,6 +28,9 @@ use std::collections::VecDeque;
 /// write waits in the write queue for its retry either way.
 const SPILL_CAPACITY: usize = 16;
 
+/// A bank-free time no bank ever reaches.
+const NEVER: Instant = Instant::from_ps(u64::MAX);
+
 /// Controller configuration (paper Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemCtrlConfig {
@@ -443,6 +446,12 @@ struct Channel {
     reads: BankSet,
     dep_reads: BankSet,
     writes: BankSet,
+    /// Idle-bank mask as of `folded_at`, with every issue since applied;
+    /// it stays exact until `next_free`, the earliest time a bank busy
+    /// at the fold (or since) frees.
+    idle: u64,
+    folded_at: Instant,
+    next_free: Instant,
 }
 
 impl Channel {
@@ -459,6 +468,9 @@ impl Channel {
             reads: BankSet::EMPTY,
             dep_reads: BankSet::EMPTY,
             writes: BankSet::EMPTY,
+            idle: 0,
+            folded_at: NEVER,
+            next_free: Instant::ZERO,
         }
     }
 
@@ -505,13 +517,37 @@ impl Channel {
         e
     }
 
-    /// Banks of this channel idle at `now` (branch-free: which banks are
-    /// idle changes from visit to visit).
-    fn free_banks(&self, banks: &[Instant], now: Instant) -> u64 {
-        banks[self.first_bank..self.first_bank + self.bank_count]
+    /// Banks of this channel idle at `now`: the cached mask, refolded
+    /// from the bank times only once a busy bank may have freed.
+    fn free_banks(&mut self, banks: &[Instant], now: Instant) -> u64 {
+        if now < self.folded_at || now >= self.next_free {
+            let own = &banks[self.first_bank..self.first_bank + self.bank_count];
+            self.idle = Self::fold_free_banks(own, now);
+            self.folded_at = now;
+            self.next_free = own
+                .iter()
+                .copied()
+                .filter(|&b| b > now)
+                .min()
+                .unwrap_or(NEVER);
+        }
+        self.idle
+    }
+
+    /// Banks of `banks` (one channel's) idle at `now` (branch-free: which
+    /// banks are idle changes from visit to visit).
+    fn fold_free_banks(banks: &[Instant], now: Instant) -> u64 {
+        banks
             .iter()
             .enumerate()
             .fold(0, |m, (bit, &b)| m | u64::from(b <= now) << bit)
+    }
+
+    /// Keeps the cached idle mask exact when flat bank `bank` turns busy
+    /// until `until`.
+    fn occupy(&mut self, bank: usize, until: Instant) {
+        self.idle &= !(1 << self.bit(bank));
+        self.next_free = self.next_free.min(until);
     }
 
     /// Whether the bank sets match a recount of the queues.
@@ -966,9 +1002,15 @@ impl MemoryController {
                 self.refill_from_overflow(ch);
                 self.update_mode(ch, now);
             }
+            let c = &self.channels[ch];
             debug_assert!(
-                self.channels[ch].bank_sets_consistent()
-                    && free == self.channels[ch].free_banks(&self.banks, now),
+                c.bank_sets_consistent()
+                    && free == c.idle
+                    && free
+                        == Channel::fold_free_banks(
+                            &self.banks[c.first_bank..c.first_bank + c.bank_count],
+                            now
+                        ),
                 "channel {ch}'s bank masks disagree with its queues or bank times at {now}"
             );
         }
@@ -1088,6 +1130,7 @@ impl MemoryController {
             .reserve(nominal_burst, timing.t_burst, now);
         let completion = burst_start + timing.t_burst;
         self.banks[bank] = completion;
+        self.channels[ch].occupy(bank, completion);
         self.wakes.push((completion, CtrlWake::BankFree));
         if self.recorder.is_enabled() {
             let class = match entry.kind {
@@ -1236,6 +1279,7 @@ impl MemoryController {
             .reserve(nominal_burst, timing.t_burst, now);
         let completion = burst_start + timing.t_burst;
         self.banks[bank] = completion;
+        self.channels[ch].occupy(bank, completion);
         self.wakes.push((completion, CtrlWake::BankFree));
         // The write-queue slot frees the moment the write dispatches, so
         // writers rejected on a full queue can retry at `now`.
@@ -1713,6 +1757,11 @@ mod tests {
     /// issued operation would have.
     fn occupy_bank(mc: &mut MemoryController, bank: usize, until: Instant) {
         mc.banks[bank] = until;
+        for c in &mut mc.channels {
+            if (c.first_bank..c.first_bank + c.bank_count).contains(&bank) {
+                c.occupy(bank, until);
+            }
+        }
         mc.wakes.push((until, CtrlWake::BankFree));
     }
 

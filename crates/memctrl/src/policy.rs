@@ -7,7 +7,7 @@
 
 use ladder_baselines::{BitlineProfiler, SplitReset};
 use ladder_core::{
-    apply_fnw, exact_cw_lrs, DependencyRead, FnwOutcome, FnwPolicy, LadderConfig, LadderEngine,
+    apply_fnw, DependencyRead, ExactCwCounts, FnwOutcome, FnwPolicy, LadderConfig, LadderEngine,
     LadderVariant,
 };
 use ladder_reram::{AddressMap, LineAddr, LineData, LineStore, Picos};
@@ -248,16 +248,25 @@ impl WritePolicy for LocationAwarePolicy {
 
 /// The Oracle: exact `C^w_lrs` known for free (no metadata, no traffic) —
 /// the upper bound for any data/location-aware scheme.
+///
+/// The exact counters move by each write's old → new delta
+/// ([`ExactCwCounts`]); while the store holds stuck-at faults, which can
+/// change what any line reads, every write recounts its wordline group.
 #[derive(Debug)]
 pub struct OraclePolicy {
     table: TimingTable,
     map: AddressMap,
+    exact: ExactCwCounts,
 }
 
 impl OraclePolicy {
     /// Builds the oracle over the shared LADDER timing table.
     pub fn new(table: TimingTable, map: AddressMap) -> Self {
-        Self { table, map }
+        Self {
+            table,
+            map,
+            exact: ExactCwCounts::new(),
+        }
     }
 }
 
@@ -267,10 +276,15 @@ impl WritePolicy for OraclePolicy {
     }
 
     fn service(&mut self, addr: LineAddr, data: LineData, store: &mut LineStore) -> ServiceResult {
-        let out = store_with_fnw(addr, &data, store, FnwPolicy::Classic);
+        let old = store.read(addr);
+        let out = apply_fnw(&data, &old, FnwPolicy::Classic);
+        store.write(addr, out.stored);
         let wlg = self.map.wlg_of(addr);
-        let images: Vec<LineData> = self.map.lines_of_wlg(wlg).map(|l| store.read(l)).collect();
-        let cw = exact_cw_lrs(images.iter());
+        let faulted = store.faulted_lines() > 0;
+        let map = &self.map;
+        let cw = self.exact.after_write(wlg, &old, &out.stored, faulted, || {
+            map.lines_of_wlg(wlg).map(|l| store.read(l)).collect()
+        });
         let (wl, col) = self.map.write_location(addr);
         ServiceResult {
             t_wr: Picos::from_ps(self.table.lookup_ps(wl, col, cw as usize)),
@@ -546,8 +560,10 @@ pub fn standard_tables(cfg: &TableConfig) -> Tables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ladder_core::exact_cw_lrs;
     use ladder_reram::Geometry;
     use ladder_xbar::TableConfig;
+    use proptest::prelude::*;
 
     fn setup() -> (TimingTable, TimingTable, AddressMap) {
         let t = standard_tables(&TableConfig::ladder_default());
@@ -668,5 +684,63 @@ mod tests {
         // guaranteed mid-page (the counter lags by the in-flight line), but
         // the mean difference must be tiny.
         assert!(trace.mean_diff().abs() <= 8.0);
+    }
+
+    fn arb_line() -> impl Strategy<Value = LineData> {
+        let line = || {
+            prop::collection::vec(any::<u8>(), 64).prop_map(|v| {
+                let mut a = [0u8; 64];
+                a.copy_from_slice(&v);
+                a
+            })
+        };
+        (line(), line(), any::<bool>()).prop_map(|(a, b, sparse)| {
+            if sparse {
+                std::array::from_fn(|i| a[i] & b[i])
+            } else {
+                a
+            }
+        })
+    }
+
+    /// The Oracle's incremental `C^w_lrs` equals the full recount of the
+    /// written group it replaced, on random writes over three groups; with
+    /// `faults`, stuck-at cells appear mid-stream (they change what lines
+    /// read behind the policy's back).
+    fn check_oracle_counts(faults: bool, steps: Vec<(u64, u64, LineData, u32)>) {
+        let (table, _, map) = setup();
+        let mut p = OraclePolicy::new(table, map.clone());
+        let mut store = LineStore::new();
+        for (page, slot, data, kind) in steps {
+            let addr = LineAddr::new(page * 64 + slot);
+            if faults && kind == 0 {
+                store.inject_stuck(addr, [0; 64], data);
+                continue;
+            }
+            let r = p.service(addr, data, &mut store);
+            let lines: Vec<LineData> = map
+                .lines_of_wlg(map.wlg_of(addr))
+                .map(|l| store.read(l))
+                .collect();
+            assert_eq!(r.cw_lrs, Some(exact_cw_lrs(lines.iter())));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn oracle_counts_match_a_recount(
+            steps in prop::collection::vec((0u64..3, 0u64..64, arb_line(), 0u32..8), 1..64),
+        ) {
+            check_oracle_counts(false, steps);
+        }
+
+        #[test]
+        fn oracle_counts_match_a_recount_under_stuck_at_faults(
+            steps in prop::collection::vec((0u64..3, 0u64..64, arb_line(), 0u32..8), 1..64),
+        ) {
+            check_oracle_counts(true, steps);
+        }
     }
 }

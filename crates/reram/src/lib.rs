@@ -30,7 +30,7 @@ mod topology;
 
 pub use address::{AddressMap, Decoded, Interleave, LineAddr, WlgId};
 pub use geometry::{Geometry, LINES_PER_WLG, LINE_BYTES, MAX_BANKS_PER_CHANNEL, PAGE_BYTES};
-pub use store::{line_ones, FaultMask, LineData, LineStore};
+pub use store::{line_ones, FaultMask, LineData, LineHasher, LineMap, LineStore};
 pub use time::{EventQueue, Instant, Picos};
 pub use timing::DeviceTiming;
 pub use topology::Topology;

@@ -10,6 +10,7 @@ use crate::address::LineAddr;
 use crate::bits;
 use crate::geometry::LINE_BYTES;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Contents of one 64 B memory line.
 pub type LineData = [u8; LINE_BYTES];
@@ -62,8 +63,34 @@ impl FaultMask {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LineStore {
-    lines: HashMap<u64, LineData>,
-    faults: HashMap<u64, FaultMask>,
+    lines: LineMap<LineData>,
+    faults: LineMap<FaultMask>,
+}
+
+/// A map keyed by a raw line address or page number, hashed with
+/// [`LineHasher`]. For maps nothing iterates: the hash only has to spread
+/// simulator-generated keys, not resist adversaries.
+pub type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
+
+/// Multiplicative (Fibonacci) hash of one `u64` key, rotated so the
+/// well-mixed high product bits land in the low bits the table indexes by.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 impl LineStore {

@@ -14,6 +14,7 @@ use crate::experiments::{ExperimentConfig, Workload};
 use crate::runner::Runner;
 use crate::scheme::Scheme;
 use crate::shard::run_sim;
+use crate::streams::StreamPool;
 use crate::system::RunResult;
 use ladder_core::{FnwPolicy, LadderConfig, LadderVariant, MetadataCacheConfig};
 use ladder_memctrl::{MemCtrlConfig, Tables};
@@ -59,6 +60,7 @@ fn run_with_ladder_cfg(
         tables,
         Geometry::default(),
         None,
+        &StreamPool::default(),
     );
     b.ladder_config(lcfg);
     b.run()
@@ -245,6 +247,7 @@ pub fn drain_watermark_sweep(
             &tables,
             Geometry::default(),
             None,
+            &StreamPool::default(),
         );
         b.mem_config(MemCtrlConfig {
             drain_high: high,
@@ -293,6 +296,7 @@ pub fn vwl_comparison(
                 &tables,
                 Geometry::default(),
                 None,
+                &StreamPool::default(),
             );
             b.leveler(Box::new(StartGap::new(
                 base_line,

@@ -13,9 +13,10 @@
 //! included — the compiler rejects a struct literal or a `..base` update,
 //! and new knobs can be added without breaking callers.
 
-use crate::experiments::{shard_trace_for, ExperimentConfig, Workload};
+use crate::experiments::{ExperimentConfig, Workload};
 use crate::scheme::Scheme;
 use crate::service::{feed_for, ServiceConfig};
+use crate::streams::{StreamKey, StreamPool};
 use crate::system::SystemBuilder;
 use ladder_coding::CodingKind;
 use ladder_faults::FaultConfig;
@@ -244,13 +245,16 @@ impl SimConfigBuilder {
 /// `geometry` — the setup of every run: the simulate step's monolithic
 /// run and shards, and the figure runs that override one builder knob
 /// on top. `shard` stamps a shard identity into the run (workload seeds
-/// and, when tracing, the trace record stream).
+/// and, when tracing, the trace record stream). The closed-loop core
+/// streams come from `streams`: replays of a batch's shared recordings,
+/// or live generators.
 pub(crate) fn builder_for(
     cfg: &SimConfig,
     ecfg: &ExperimentConfig,
     tables: &Tables,
     geometry: Geometry,
     shard: Option<u32>,
+    streams: &StreamPool,
 ) -> SystemBuilder {
     let mut b = SystemBuilder::with_tables(cfg.scheme, tables);
     b.geometry(geometry.clone());
@@ -262,8 +266,8 @@ pub(crate) fn builder_for(
         b.service(feed_for(scfg, ecfg, &geometry, shard));
     } else {
         for (core, bench) in cfg.workload.members().into_iter().enumerate() {
-            let (trace, mlp) = shard_trace_for(bench, core, ecfg, &geometry, shard);
-            b.core(trace, mlp);
+            let key = StreamKey::new(bench, core, ecfg, &geometry, shard);
+            b.core(streams.take(&key), key.mlp());
         }
     }
     b.track_wear(cfg.track_wear);
@@ -299,6 +303,34 @@ fn make_leveler(ecfg: &ExperimentConfig, geometry: &Geometry) -> Box<SegmentVwl>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Rustdoc does not check a `compile_fail` doctest's error, so the
+    /// struct-literal example would keep "failing" with a stale field
+    /// name. Its fields must be exactly the public fields of `SimConfig`.
+    #[test]
+    fn the_struct_literal_doctest_names_every_public_field() {
+        let src = include_str!("config.rs");
+        // The code lines between `open` and `close`, unindented.
+        let block = |open: &str, close: &str| -> Vec<&str> {
+            let start = src.find(open).expect("block opener") + open.len();
+            let len = src[start..].find(close).expect("block closer");
+            src[start..start + len].lines().map(str::trim).collect()
+        };
+        let field = |line: &str| {
+            line.split_once(':')
+                .map(|(name, _)| name.trim().to_string())
+        };
+        let doctest: Vec<String> = block("/// let cfg = SimConfig {\n", "/// };")
+            .into_iter()
+            .filter_map(|l| l.strip_prefix("///").and_then(field))
+            .collect();
+        let public: Vec<String> = block("pub struct SimConfig {\n", "\n}")
+            .into_iter()
+            .filter_map(|l| l.strip_prefix("pub ").and_then(field))
+            .collect();
+        assert!(public.len() >= 10, "parsed {public:?}");
+        assert_eq!(doctest, public);
+    }
 
     #[test]
     fn builder_defaults_are_the_monolithic_baseline() {

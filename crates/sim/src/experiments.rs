@@ -10,6 +10,7 @@ use crate::runner::{AloneIpcCache, Runner, RunnerStats};
 use crate::scheme::Scheme;
 use crate::service::ServiceConfig;
 use crate::shard::{run_sharded, run_sim};
+use crate::streams::{StreamKey, StreamPool};
 use crate::system::RunResult;
 use ladder_coding::{CodingKind, CodingStats};
 use ladder_cpu::TraceSource;
@@ -113,7 +114,7 @@ impl Workload {
 /// Page window of one core within `geometry`: every scheme reserves less
 /// than 1/16 of the module for metadata, so data windows start at 1/16 of
 /// the page space and are identical across schemes (fair comparison).
-fn core_window(core: usize, geometry: &Geometry) -> (u64, u64) {
+pub(crate) fn core_window(core: usize, geometry: &Geometry) -> (u64, u64) {
     let total = geometry.pages() as u64;
     let base = total / 16;
     let per_core = (total - base) / 4;
@@ -141,18 +142,8 @@ pub(crate) fn shard_trace_for(
     geometry: &Geometry,
     shard: Option<u32>,
 ) -> (Box<dyn TraceSource>, usize) {
-    let profile = profile_of(bench);
-    let mlp = profile.mlp;
-    let (base, limit) = core_window(core, geometry);
-    let mut seed = cfg
-        .seed
-        .wrapping_mul(0x9e3779b97f4a7c15)
-        .wrapping_add(core as u64 + 1);
-    if let Some(s) = shard {
-        seed = seed.wrapping_add(((s as u64) + 1).wrapping_mul(0x517cc1b727220a95));
-    }
-    let gen = WorkloadGen::for_instructions(profile, seed, base, limit, cfg.instructions_per_core);
-    (Box::new(gen), mlp)
+    let key = StreamKey::new(bench, core, cfg, geometry, shard);
+    (Box::new(key.generator()), key.mlp())
 }
 
 // ---------------------------------------------------------------------------
@@ -308,38 +299,7 @@ impl<'a> MainEvalBuilder<'a> {
         );
         let ns = schemes.len();
         let tables = Arc::new(cfg.tables());
-
-        // The matrix itself, row-major (workload-major, scheme-minor).
-        let mut specs: Vec<SimConfig> = Vec::with_capacity(workloads.len() * ns + 2);
-        for &w in &workloads {
-            for &s in &schemes {
-                specs.push(SimConfig::new(s, w));
-            }
-        }
-        // Alone-run baselines the matrix does not already produce: mix
-        // members that are not evaluated as singles.
-        let singles: Vec<&'static str> = workloads
-            .iter()
-            .filter_map(|w| match w {
-                Workload::Single(b) => Some(*b),
-                Workload::Mix(_) => None,
-            })
-            .collect();
-        let mut extra: Vec<&'static str> = Vec::new();
-        for w in &workloads {
-            if w.is_mix() {
-                for b in w.members() {
-                    if !singles.contains(&b) && !extra.contains(&b) {
-                        extra.push(b);
-                    }
-                }
-            }
-        }
-        specs.extend(
-            extra
-                .iter()
-                .map(|&b| SimConfig::new(Scheme::Baseline, Workload::Single(b))),
-        );
+        let (specs, extra) = matrix_batch(&workloads, &schemes);
 
         let (mut results, stats) = runner.run_configs(cfg, &tables, &specs);
 
@@ -394,6 +354,44 @@ impl<'a> MainEvalBuilder<'a> {
             stats,
         }
     }
+}
+
+/// The main evaluation's one batch: the matrix row-major (workload-major,
+/// scheme-minor), then one baseline alone-run per mix member the matrix
+/// does not evaluate as a single — those members, in batch order.
+pub(crate) fn matrix_batch(
+    workloads: &[Workload],
+    schemes: &[Scheme],
+) -> (Vec<SimConfig>, Vec<&'static str>) {
+    let mut specs: Vec<SimConfig> = Vec::with_capacity(workloads.len() * schemes.len() + 2);
+    for &w in workloads {
+        for &s in schemes {
+            specs.push(SimConfig::new(s, w));
+        }
+    }
+    let singles: Vec<&'static str> = workloads
+        .iter()
+        .filter_map(|w| match w {
+            Workload::Single(b) => Some(*b),
+            Workload::Mix(_) => None,
+        })
+        .collect();
+    let mut extra: Vec<&'static str> = Vec::new();
+    for w in workloads {
+        if w.is_mix() {
+            for b in w.members() {
+                if !singles.contains(&b) && !extra.contains(&b) {
+                    extra.push(b);
+                }
+            }
+        }
+    }
+    specs.extend(
+        extra
+            .iter()
+            .map(|&b| SimConfig::new(Scheme::Baseline, Workload::Single(b))),
+    );
+    (specs, extra)
 }
 
 impl MainEval {
@@ -645,26 +643,25 @@ pub struct Fig15Row {
 pub fn fig15(cfg: &ExperimentConfig, runner: &Runner) -> Vec<Fig15Row> {
     let tables = cfg.tables();
     let all = Workload::all();
-    // Each (workload, shifting) cell is an independent controller feed;
-    // fan the 32 of them out as one batch.
-    let (diffs, _) = runner.run_jobs(all.len() * 2, |i| {
-        fig15_cell(cfg, &tables, all[i / 2], i % 2 == 1)
-    });
+    // Each workload is an independent pair of controller feeds; fan the
+    // 16 of them out as one batch.
+    let (diffs, _) = runner.run_jobs(all.len(), |i| fig15_cell(cfg, &tables, all[i]));
     all.iter()
-        .zip(diffs.chunks_exact(2))
-        .map(|(w, d)| Fig15Row {
+        .zip(diffs)
+        .map(|(w, [without, with])| Fig15Row {
             workload: w.label().to_string(),
-            diff_without_shift: d[0],
-            diff_with_shift: d[1],
+            diff_without_shift: without,
+            diff_with_shift: with,
         })
         .collect()
 }
 
-/// One Fig. 15 cell: mean `C^w_lrs` difference for `workload` with
-/// shifting on or off. Counter values depend only on the write stream, so
-/// the cell feeds writes straight into a controller without simulating
-/// core timing.
-fn fig15_cell(cfg: &ExperimentConfig, tables: &Tables, w: Workload, shifting: bool) -> f64 {
+/// One Fig. 15 row: mean `C^w_lrs` difference for `workload` with
+/// shifting off and on. Counter values depend only on the write stream, so
+/// the row feeds writes straight into two controllers (one per shifting
+/// setting, each on its own clock) without simulating core timing; the
+/// two share one generated stream.
+fn fig15_cell(cfg: &ExperimentConfig, tables: &Tables, w: Workload) -> [f64; 2] {
     use ladder_core::{LadderConfig, LadderVariant};
     use ladder_memctrl::{LadderPolicy, MemCtrlConfig, MemoryController};
     use ladder_reram::AddressMap;
@@ -674,12 +671,16 @@ fn fig15_cell(cfg: &ExperimentConfig, tables: &Tables, w: Workload, shifting: bo
     let window_pages = 768u64;
     let events_per_member = (cfg.instructions_per_core / 2).clamp(50_000, 400_000);
     let map = AddressMap::new(Geometry::default());
-    let mut lcfg = LadderConfig::for_variant(LadderVariant::Est);
-    lcfg.shifting = shifting;
-    lcfg.track_exact = true;
-    let policy = Box::new(LadderPolicy::new(lcfg, tables.ladder.clone(), map.clone()));
-    let mut mc = MemoryController::new(MemCtrlConfig::default(), map, policy);
-    let mut now = Instant::ZERO;
+    let mut feeds = [false, true].map(|shifting| {
+        let mut lcfg = LadderConfig::for_variant(LadderVariant::Est);
+        lcfg.shifting = shifting;
+        lcfg.track_exact = true;
+        let policy = Box::new(LadderPolicy::new(lcfg, tables.ladder.clone(), map.clone()));
+        (
+            MemoryController::new(MemCtrlConfig::default(), map.clone(), policy),
+            Instant::ZERO,
+        )
+    });
     for (core, bench) in w.members().into_iter().enumerate() {
         let (base, _) = core_window(core, &Geometry::default());
         let seed = cfg
@@ -695,17 +696,21 @@ fn fig15_cell(cfg: &ExperimentConfig, tables: &Tables, w: Workload, shifting: bo
         );
         while let Some(ev) = trace.next_event() {
             if let ladder_cpu::TraceOp::Write { addr, data } = ev.op {
-                while !mc.enqueue_write(addr, *data, now) {
-                    // lint: allow(panic-policy) — invariant: an unfinished controller always schedules a next wake (kernel progress invariant, DESIGN §3)
-                    now = mc.next_wake(now).expect("controller progress");
-                    mc.process(now);
+                for (mc, now) in &mut feeds {
+                    while !mc.enqueue_write(addr, *data, *now) {
+                        // lint: allow(panic-policy) — invariant: an unfinished controller always schedules a next wake (kernel progress invariant, DESIGN §3)
+                        *now = mc.next_wake(*now).expect("controller progress");
+                        mc.process(*now);
+                    }
+                    mc.process(*now);
                 }
-                mc.process(now);
             }
         }
     }
-    mc.finish(now);
-    mc.policy().cw_trace().map(|t| t.mean_diff()).unwrap_or(0.0)
+    feeds.map(|(mut mc, now)| {
+        mc.finish(now);
+        mc.policy().cw_trace().map(|t| t.mean_diff()).unwrap_or(0.0)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1162,6 +1167,7 @@ pub fn hot_remap_extension(
                 &tables,
                 Geometry::default(),
                 None,
+                &StreamPool::default(),
             );
             b.leveler(Box::new(HotPageRemapper::new(frames.clone(), 400)));
             b.run()

@@ -22,6 +22,7 @@ pub mod runner;
 mod scheme;
 pub mod service;
 pub mod shard;
+mod streams;
 mod system;
 pub mod wallclock;
 

@@ -38,7 +38,8 @@ use ladder_trace::Mergeable;
 use crate::config::SimConfig;
 use crate::experiments::{ExperimentConfig, Workload};
 use crate::scheme::Scheme;
-use crate::shard::run_sim;
+use crate::shard::run_pooled;
+use crate::streams::StreamPool;
 use crate::system::{EventCounts, RunResult};
 
 /// Timing observability for one batch of jobs.
@@ -278,8 +279,11 @@ impl Runner {
     /// Runs a batch of [`SimConfig`] simulation jobs against one shared
     /// [`Tables`] bundle, returning results in submission order.
     ///
-    /// Each job is one [`run_sim`]: a topology config runs its shards
-    /// sequentially inside its job and yields their fold. Besides
+    /// Each job is one [`crate::run_sim`]: a topology config runs its
+    /// shards sequentially inside its job and yields their fold. A
+    /// closed-loop stream that consecutive jobs consume (a matrix row's
+    /// cells) is generated once and replayed to each of them, bit-identical
+    /// to live generation at any worker count (DESIGN §3). Besides
     /// timings, the returned stats carry the batch's aggregate
     /// event-kernel dispatch counters and total simulated time, so
     /// events-per-sim-second is reported alongside wall-clock speedup.
@@ -289,8 +293,10 @@ impl Runner {
         tables: &Arc<Tables>,
         configs: &[SimConfig],
     ) -> (Vec<RunResult>, RunnerStats) {
-        let (results, mut stats) =
-            self.run_jobs(configs.len(), |i| run_sim(&configs[i], cfg, tables));
+        let streams = StreamPool::for_batch(configs, cfg);
+        let (results, mut stats) = self.run_jobs(configs.len(), |i| {
+            run_pooled(&configs[i], cfg, tables, &streams[i])
+        });
         for r in &results {
             stats.events.merge_from(&r.events);
             stats.sim_time += Picos::from_ps(r.end.as_ps());

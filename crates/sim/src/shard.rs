@@ -22,6 +22,7 @@ use crate::experiments::ExperimentConfig;
 use crate::runner::{Runner, RunnerStats};
 use crate::scheme::Scheme;
 use crate::service::ServiceStats;
+use crate::streams::StreamPool;
 use crate::system::{EventCounts, RunResult};
 use ladder_coding::CodingStats;
 use ladder_energy::EnergyBreakdown;
@@ -102,25 +103,40 @@ fn retired(r: &RunResult) -> u64 {
     r.cores.iter().map(|c| c.retired).sum()
 }
 
-/// The one simulate step, and the only place that picks a run's geometry
-/// and shard ids. A monolithic config is one run over
-/// `Geometry::default()` with unsalted seeds and no `ShardTag`, inline on
-/// the caller's thread. A topology fans its `t.shards()` salted
-/// one-channel slices out on `runner`, returned in shard order.
+/// The geometry and shard id of each simulation `cfg` describes, in shard
+/// order — the only place that picks them. A monolithic config is one run
+/// over `Geometry::default()` with unsalted seeds and no `ShardTag`; a
+/// topology is `t.shards()` salted one-channel slices.
+pub(crate) fn shard_runs(cfg: &SimConfig) -> Vec<(Geometry, Option<u32>)> {
+    match cfg.topology {
+        None => vec![(Geometry::default(), None)],
+        Some(topology) => {
+            let shard_geometry = topology.shard_geometry(&Geometry::default());
+            (0..topology.shards())
+                .map(|s| (shard_geometry.clone(), Some(s as u32)))
+                .collect()
+        }
+    }
+}
+
+/// The one simulate step. A monolithic config runs inline on the caller's
+/// thread; a topology fans its shards ([`shard_runs`]) out on `runner`,
+/// returned in shard order. Core streams come from `streams`.
 fn simulate(
     cfg: &SimConfig,
     ecfg: &ExperimentConfig,
     tables: &Tables,
     runner: &Runner,
+    streams: &StreamPool,
 ) -> (Vec<RunResult>, RunnerStats) {
-    let Some(topology) = cfg.topology else {
-        let lone = builder_for(cfg, ecfg, tables, Geometry::default(), None).run();
-        return (vec![lone], RunnerStats::default());
+    let runs = shard_runs(cfg);
+    let run = |(geometry, shard): &(Geometry, Option<u32>)| {
+        builder_for(cfg, ecfg, tables, geometry.clone(), *shard, streams).run()
     };
-    let shard_geometry = topology.shard_geometry(&Geometry::default());
-    runner.run_jobs(topology.shards(), |s| {
-        builder_for(cfg, ecfg, tables, shard_geometry.clone(), Some(s as u32)).run()
-    })
+    if cfg.topology.is_none() {
+        return (runs.iter().map(run).collect(), RunnerStats::default());
+    }
+    runner.run_jobs(runs.len(), |s| run(&runs[s]))
 }
 
 /// The one shard fold, shared by [`run_sim`] and [`ShardedRun::merged`].
@@ -240,7 +256,17 @@ fn fold_shards(topology: Option<Topology>, shards: Cow<'_, [RunResult]>) -> RunR
 /// at any `--jobs`). Use [`run_sharded`] to fan shards out on a runner or
 /// to read per-shard results.
 pub fn run_sim(cfg: &SimConfig, ecfg: &ExperimentConfig, tables: &Tables) -> RunResult {
-    let (shards, _) = simulate(cfg, ecfg, tables, &Runner::sequential());
+    run_pooled(cfg, ecfg, tables, &StreamPool::default())
+}
+
+/// [`run_sim`] with its core streams taken from a batch's `streams`.
+pub(crate) fn run_pooled(
+    cfg: &SimConfig,
+    ecfg: &ExperimentConfig,
+    tables: &Tables,
+    streams: &StreamPool,
+) -> RunResult {
+    let (shards, _) = simulate(cfg, ecfg, tables, &Runner::sequential(), streams);
     fold_shards(cfg.topology, Cow::Owned(shards))
 }
 
@@ -253,7 +279,7 @@ pub fn run_sharded(
     tables: &Tables,
     runner: &Runner,
 ) -> ShardedRun {
-    let (shards, stats) = simulate(cfg, ecfg, tables, runner);
+    let (shards, stats) = simulate(cfg, ecfg, tables, runner, &StreamPool::default());
     ShardedRun {
         topology: cfg.topology,
         interleave: cfg.interleave,

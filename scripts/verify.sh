@@ -42,6 +42,12 @@ for bin in fig2 fig4b fig11 fig15 main_eval lifetime variability tables \
     ./target/release/"$bin" --quick --jobs 2 >/dev/null
 done
 
+# Fig. 15 at its committed scale must reproduce results/fig15.txt byte
+# for byte (the file's first three lines are cargo's build header).
+echo "==> fig15 --instructions 1000000 vs results/fig15.txt"
+./target/release/fig15 --instructions 1000000 2>/dev/null \
+    | diff <(tail -n +4 results/fig15.txt) -
+
 # Repository benchmark smoke: every perfbench workload must run once at
 # --quick scale with its stats fingerprint matching the committed one
 # ("correct": true, exit 0), and the harness's own unit tests must pass —

@@ -25,7 +25,12 @@ fn assert_series_identical(a: &FigureSeries, b: &FigureSeries) {
 #[test]
 fn parallel_main_eval_is_bit_identical_to_sequential() {
     let cfg = ExperimentConfig::quick();
-    let schemes = [Scheme::Baseline, Scheme::Blp, Scheme::LadderHybrid];
+    let schemes = [
+        Scheme::Baseline,
+        Scheme::Blp,
+        Scheme::Oracle,
+        Scheme::LadderHybrid,
+    ];
     let seq = MainEval::builder(&cfg)
         .schemes(&schemes)
         .run(&Runner::with_jobs(1));
