@@ -1,31 +1,22 @@
 //! Benchmark harness for the LADDER reproduction.
 //!
-//! Each `bin` target regenerates one of the paper's tables or figures (see
-//! DESIGN.md §5 for the index):
+//! One binary, `figures`, regenerates every table and figure of the
+//! paper's evaluation plus the extension studies: `figures <name>` runs
+//! one entry of the registry [`figures::ALL`] (each entry's `summary`
+//! says what it reproduces), `figures all` runs them all and
+//! `figures regen` rewrites the committed `results/<name>.txt` files at
+//! their documented scale.
 //!
-//! | target | reproduces |
-//! |---|---|
-//! | `fig2` | Fig. 2 — motivation IPC study |
-//! | `fig4b` | Fig. 4b — latency vs. wordline LRS % |
-//! | `fig11` | Fig. 11 — latency surfaces over (WL, BL) |
-//! | `main_eval` | Figs. 12, 13, 14a/b, 16, 17 — the evaluation matrix |
-//! | `fig15` | Fig. 15 — estimation accuracy with/without shifting |
-//! | `lifetime` | Section 6.4 — wear-leveling and lifetime |
-//! | `variability` | Section 7 — shrunk latency range |
-//! | `tables` | Tables 1–4 — configuration and overheads |
-//! | `faults` | Extension — raw BER sweep: P&V retries, ECC, data loss |
-//! | `interleave` | Extension — striping-policy sweep over a sharded topology |
-//! | `service` | Extension — open-loop tail-latency SLO sweep (load × arrival × scheme) |
-//! | `lifetime_campaign` | Extension — device-lifetime CSV (skew × BER × remap × code scheme) |
-//!
-//! Every binary parses the same command line through [`BenchArgs`]:
-//! strict by default (unknown flags exit with the usage message, and a
-//! flag given twice is rejected rather than silently last-wins), so the
-//! whole fleet accepts `--quick/--instructions/--seed/--jobs/--trace`
-//! plus the topology surface `--topology CxR` / `--interleave P` and the
-//! service-sweep knobs `--arrival/--zipf/--tenants/--load`.
+//! Every figure reads the same command line, [`BenchArgs`]: strict
+//! (unknown flags exit with the usage message, and a flag given twice is
+//! rejected rather than silently last-wins), with
+//! `--quick/--instructions/--seed/--jobs/--trace`, the topology surface
+//! `--topology CxR` / `--interleave P` and the service-sweep knobs
+//! `--arrival/--zipf/--tenants/--load`.
 //!
 //! Criterion micro-benchmarks for the hot kernels live under `benches/`.
+
+pub mod figures;
 
 use ladder_reram::Geometry;
 use ladder_sim::experiments::{ExperimentConfig, Workload};
@@ -33,8 +24,8 @@ use ladder_sim::{
     run_sharded, tenant_window, ArrivalKind, Interleave, Runner, Scheme, SimConfig, Topology,
 };
 
-/// The flags every binary accepts, printed when parsing fails.
-pub const USAGE: &str = "usage: [--quick] [--instructions N] [--seed S] [--jobs N] [--topology CxR]
+/// The flags every figure accepts, printed when parsing fails.
+pub const USAGE: &str = "flags: [--quick] [--instructions N] [--seed S] [--jobs N] [--topology CxR]
        [--interleave P] [--csv DIR] [--trace PATH]
        [--arrival A] [--zipf T] [--tenants N] [--load L1,L2,..]
   --quick           smoke-test scale (120 k instructions per core)
@@ -56,11 +47,9 @@ pub const USAGE: &str = "usage: [--quick] [--instructions N] [--seed S] [--jobs 
 
 Every flag may appear at most once; duplicates are rejected.";
 
-/// The parsed bench command line, shared by every binary.
+/// The parsed bench command line, shared by every figure.
 ///
-/// Parse strictly from the process arguments with [`BenchArgs::parse`]
-/// (unknown flags and malformed values print [`USAGE`] and exit with
-/// status 2), or fallibly from a slice with [`BenchArgs::parse_from`].
+/// Parse it from an argument slice with [`BenchArgs::parse_from`].
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     /// Experiment scale and seed: `--quick` starts from
@@ -70,7 +59,7 @@ pub struct BenchArgs {
     /// `--jobs N`: worker threads. `None` falls back to `LADDER_JOBS` /
     /// `available_parallelism()` inside [`BenchArgs::runner`].
     pub jobs: Option<usize>,
-    /// Whether `--quick` was passed. Binaries whose workload is not
+    /// Whether `--quick` was passed. Figures whose workload is not
     /// derived from [`ExperimentConfig`] (e.g. `mna_table`, `fig11`) use
     /// this to scale their own inputs down to smoke-run size.
     pub quick: bool,
@@ -93,19 +82,14 @@ pub struct BenchArgs {
     /// `--tenants N`: tenant count for the `service` mix.
     pub tenants: Option<usize>,
     /// `--load L1,L2,..`: offered loads (requests/µs) the `service`
-    /// binary sweeps. Empty when the flag was absent.
+    /// figure sweeps. Empty when the flag was absent.
     pub load: Vec<f64>,
-    /// Non-flag arguments in order (e.g. `tables`' table selector).
+    /// Non-flag arguments in order (e.g. the figure name and `tables`'
+    /// table selector).
     pub positional: Vec<String>,
 }
 
 impl BenchArgs {
-    /// Parses the process command line; parse failures print [`USAGE`]
-    /// and exit with status 2.
-    pub fn parse() -> BenchArgs {
-        Self::parse_from(&cli_args()).unwrap_or_else(|e| usage_exit(&e))
-    }
-
     /// Parses an argument list (defaults: 1 M instructions, seed 2021,
     /// channel interleave, no topology).
     ///
@@ -131,81 +115,49 @@ impl BenchArgs {
         let mut positional = Vec::new();
         let mut i = 0;
         while i < argv.len() {
-            match argv[i].as_str() {
-                "--quick" => {
-                    if quick {
-                        return Err("duplicate flag `--quick`".to_string());
-                    }
-                    quick = true;
-                    i += 1;
-                }
-                "--instructions" => {
-                    set_once(&mut instructions, flag_value(argv, i)?, "--instructions")?;
-                    i += 2;
-                }
-                "--seed" => {
-                    set_once(&mut seed, flag_value(argv, i)?, "--seed")?;
-                    i += 2;
-                }
-                "--jobs" => {
-                    set_once(&mut jobs, flag_value(argv, i)?, "--jobs")?;
-                    i += 2;
-                }
-                "--trace" => {
-                    set_once(&mut trace, flag_value::<String>(argv, i)?, "--trace")?;
-                    i += 2;
-                }
-                "--topology" => {
-                    let t: Topology = flag_value(argv, i)?;
+            let flag = argv[i].as_str();
+            match flag {
+                "--quick" if quick => return Err("duplicate flag `--quick`".to_string()),
+                "--quick" => quick = true,
+                "--instructions" => set_once(&mut instructions, argv, i, Ok)?,
+                "--seed" => set_once(&mut seed, argv, i, Ok)?,
+                "--jobs" => set_once(&mut jobs, argv, i, Ok)?,
+                "--trace" => set_once(&mut trace, argv, i, Ok)?,
+                "--topology" => set_once(&mut topology, argv, i, |t: Topology| {
                     // Every shard is a one-channel slice of the default
                     // module; its geometry must be one a controller runs.
-                    if let Err(e) = t.shard_geometry(&Geometry::default()).validate() {
-                        return Err(format!("`--topology` value `{t}`: {e}"));
+                    match t.shard_geometry(&Geometry::default()).validate() {
+                        Ok(()) => Ok(t),
+                        Err(e) => Err(format!("`--topology` value `{t}`: {e}")),
                     }
-                    set_once(&mut topology, t, "--topology")?;
-                    i += 2;
-                }
-                "--interleave" => {
-                    set_once(&mut interleave, flag_value(argv, i)?, "--interleave")?;
-                    i += 2;
-                }
-                "--csv" => {
-                    set_once(&mut csv, flag_value::<String>(argv, i)?, "--csv")?;
-                    i += 2;
-                }
-                "--arrival" => {
-                    set_once(&mut arrival, flag_value(argv, i)?, "--arrival")?;
-                    i += 2;
-                }
-                "--zipf" => {
-                    let theta: f64 = flag_value(argv, i)?;
+                })?,
+                "--interleave" => set_once(&mut interleave, argv, i, Ok)?,
+                "--csv" => set_once(&mut csv, argv, i, Ok)?,
+                "--arrival" => set_once(&mut arrival, argv, i, Ok)?,
+                "--zipf" => set_once(&mut zipf, argv, i, |theta: f64| {
                     // NaN is outside every range, so it is rejected too.
-                    if !(0.0..1.0).contains(&theta) {
-                        return Err(format!("`--zipf` value `{theta}` is not in [0, 1)"));
+                    if (0.0..1.0).contains(&theta) {
+                        Ok(theta)
+                    } else {
+                        Err(format!("`--zipf` value `{theta}` is not in [0, 1)"))
                     }
-                    set_once(&mut zipf, theta, "--zipf")?;
-                    i += 2;
-                }
-                "--tenants" => {
-                    let n: usize = flag_value(argv, i)?;
-                    if n == 0 {
-                        return Err("`--tenants` must be at least 1".to_string());
-                    }
-                    set_once(&mut tenants, n, "--tenants")?;
-                    i += 2;
-                }
-                "--load" => {
-                    set_once(&mut load, load_list(argv, i)?, "--load")?;
-                    i += 2;
-                }
+                })?,
+                "--tenants" => set_once(&mut tenants, argv, i, |n: usize| match n {
+                    0 => Err("`--tenants` must be at least 1".to_string()),
+                    n => Ok(n),
+                })?,
+                "--load" => set_once(&mut load, argv, i, load_list)?,
                 other if other.starts_with('-') => {
                     return Err(format!("unknown argument `{other}`"))
                 }
-                other => {
-                    positional.push(other.to_string());
-                    i += 1;
-                }
+                other => positional.push(other.to_string()),
             }
+            // A flag other than `--quick` consumed its value too.
+            i += if flag == "--quick" || !flag.starts_with('-') {
+                1
+            } else {
+                2
+            };
         }
         let mut cfg = if quick {
             ExperimentConfig::quick()
@@ -285,9 +237,10 @@ impl BenchArgs {
     /// chrome JSON holds shard 0's stream, and the merged digest is
     /// bit-identical at any `--jobs`.
     ///
-    /// Every bench binary calls this after its main output, so any of them
-    /// can produce a trace without disturbing the figure pipeline (the
-    /// traced run is a separate, additional simulation).
+    /// The `figures` binary calls this after every figure's output, so any
+    /// of them can produce a trace without disturbing the figure pipeline
+    /// (the traced run is a separate, additional simulation at the command
+    /// line's scale).
     pub fn emit_trace_if_requested(&self, cfg: &ExperimentConfig) {
         let Some(path) = &self.trace else { return };
         let tables = cfg.tables();
@@ -309,7 +262,10 @@ impl BenchArgs {
             eprintln!("error: traced run returned no trace buffer");
             std::process::exit(1);
         };
-        write_or_die(path, ladder_trace::chrome_trace_json(shard0));
+        if let Err(e) = std::fs::write(path, ladder_trace::chrome_trace_json(shard0)) {
+            eprintln!("error: cannot write trace to `{path}`: {e}");
+            std::process::exit(1);
+        }
         let shard_note = self
             .topology
             .map(|t| format!(" (topology {t}, shard 0 of {})", run.shards.len()))
@@ -334,10 +290,24 @@ impl BenchArgs {
     }
 }
 
-/// Stores a flag's parsed value, rejecting a second occurrence — flags
-/// are single-shot, so a silent last-wins would hide operator typos in
-/// long sweep invocations.
-fn set_once<T>(slot: &mut Option<T>, value: T, flag: &str) -> Result<(), String> {
+/// Parses the value following flag `argv[i]`, passes it through `check`
+/// and stores it, rejecting a second occurrence — flags are single-shot,
+/// so a silent last-wins would hide operator typos in long sweep
+/// invocations. Errors name the flag instead of indexing out of bounds.
+fn set_once<T: std::str::FromStr, U>(
+    slot: &mut Option<U>,
+    argv: &[String],
+    i: usize,
+    check: impl FnOnce(T) -> Result<U, String>,
+) -> Result<(), String> {
+    let flag = &argv[i];
+    let raw = argv
+        .get(i + 1)
+        .ok_or_else(|| format!("`{flag}` is missing its value"))?;
+    let value = raw
+        .parse()
+        .map_err(|_| format!("`{flag}` value `{raw}` is not valid"))?;
+    let value = check(value)?;
     if slot.is_some() {
         return Err(format!("duplicate flag `{flag}`"));
     }
@@ -347,49 +317,17 @@ fn set_once<T>(slot: &mut Option<T>, value: T, flag: &str) -> Result<(), String>
 
 /// Parses `--load`'s comma-separated list of offered loads; every entry
 /// must be a positive finite requests/µs figure.
-fn load_list(argv: &[String], i: usize) -> Result<Vec<f64>, String> {
-    let raw: String = flag_value(argv, i)?;
+fn load_list(raw: String) -> Result<Vec<f64>, String> {
+    let invalid = || format!("`--load` value `{raw}` is not valid");
     let mut loads = Vec::new();
     for part in raw.split(',') {
-        let v: f64 = part
-            .trim()
-            .parse()
-            .map_err(|_| format!("`--load` value `{raw}` is not valid"))?;
+        let v: f64 = part.trim().parse().map_err(|_| invalid())?;
         if !v.is_finite() || v <= 0.0 {
-            return Err(format!("`--load` value `{raw}` is not valid"));
+            return Err(invalid());
         }
         loads.push(v);
     }
     Ok(loads)
-}
-
-/// The value following `argv[i]`, parsed; errors name the flag instead of
-/// indexing out of bounds.
-fn flag_value<T: std::str::FromStr>(argv: &[String], i: usize) -> Result<T, String> {
-    let flag = &argv[i];
-    let raw = argv
-        .get(i + 1)
-        .ok_or_else(|| format!("`{flag}` is missing its value"))?;
-    raw.parse()
-        .map_err(|_| format!("`{flag}` value `{raw}` is not valid"))
-}
-
-fn cli_args() -> Vec<String> {
-    std::env::args().skip(1).collect()
-}
-
-/// Prints `err` and [`USAGE`] to standard error and exits with status 2,
-/// the exit every binary gives a bad command line.
-pub fn usage_exit(err: &str) -> ! {
-    eprintln!("error: {err}\n{USAGE}");
-    std::process::exit(2)
-}
-
-fn write_or_die(path: &str, json: String) {
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("error: cannot write trace to `{path}`: {e}");
-        std::process::exit(1);
-    }
 }
 
 /// Prints the runner's cumulative batch statistics to stderr (so figure

@@ -96,12 +96,6 @@ pub const RULES: &[RuleInfo] = &[
                 test-harness shims (non-test spans)",
     },
     RuleInfo {
-        name: "bench-flags",
-        summary: "every ladder-bench binary must parse the shared CLI \
-                  (BenchArgs: --quick/--jobs/--topology) and wire --trace",
-        scope: "crates/bench/src/bin",
-    },
-    RuleInfo {
         name: "dead-pragma",
         summary: "a `// lint: allow(...)` pragma that suppresses nothing \
                   is itself a finding — pragmas are re-audited on every run",
@@ -146,9 +140,6 @@ const NARROW_CASTS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
 
 /// Test-harness shims whose API is panicking by design.
 const PANIC_EXEMPT: &[&str] = &["crates/proptest/", "crates/criterion/"];
-
-/// Where the bench-binary conformance rule applies.
-const BENCH_BIN_SCOPE: &str = "crates/bench/src/bin/";
 
 /// Path-derived context for one file.
 struct FileContext<'a> {
@@ -213,7 +204,6 @@ pub fn analyze(rel_path: &str, source: &str) -> Vec<Finding> {
     check_ambient_rng(&ctx, tokens, &mut raw);
     check_lossy_cast(&ctx, tokens, &tests, &mergeable, &mut raw);
     check_panic_policy(&ctx, tokens, &tests, &mut raw);
-    check_bench_flags(&ctx, tokens, &mut raw);
 
     // Pragma filtering with usage tracking, then the dead-pragma audit.
     let pragmas = pragma::collect(&lexed.comments);
@@ -602,37 +592,6 @@ fn check_panic_policy(
     }
 }
 
-fn check_bench_flags(ctx: &FileContext<'_>, tokens: &[Token], findings: &mut Vec<Finding>) {
-    if !ctx.path.starts_with(BENCH_BIN_SCOPE) {
-        return;
-    }
-    let has = |names: &[&str]| {
-        tokens
-            .iter()
-            .any(|t| t.ident().is_some_and(|id| names.contains(&id)))
-    };
-    let requirements: [(&str, &[&str]); 4] = [
-        ("--quick", &["BenchArgs"]),
-        ("--jobs", &["BenchArgs"]),
-        ("--topology", &["BenchArgs"]),
-        ("--trace", &["emit_trace_if_requested"]),
-    ];
-    for (flag, helpers) in requirements {
-        if !has(helpers) {
-            findings.push(Finding {
-                rule: "bench-flags",
-                path: ctx.path.to_string(),
-                line: 1,
-                col: 1,
-                message: format!(
-                    "bench binary does not wire `{flag}` (call one of {})",
-                    helpers.join(" / ")
-                ),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -765,21 +724,6 @@ mod tests {
             rules_fired("crates/sim/src/lib.rs", useless),
             vec!["dead-pragma"]
         );
-    }
-
-    #[test]
-    fn bench_flags_requires_the_shared_parser_and_trace() {
-        let full = "use ladder_bench::BenchArgs;\nfn main() { let args = BenchArgs::parse(); args.emit_trace_if_requested(&args.cfg); }\n";
-        assert!(rules_fired("crates/bench/src/bin/x.rs", full).is_empty());
-        let missing_trace =
-            "use ladder_bench::BenchArgs;\nfn main() { let _ = BenchArgs::parse(); }\n";
-        let fired = analyze("crates/bench/src/bin/x.rs", missing_trace);
-        assert_eq!(fired.len(), 1);
-        assert!(fired[0].message.contains("--trace"), "{}", fired[0].message);
-        let no_parser = "fn main() { emit_trace_if_requested(); }\n";
-        let fired = analyze("crates/bench/src/bin/x.rs", no_parser);
-        assert_eq!(fired.len(), 3, "{fired:?}");
-        assert!(fired.iter().all(|f| f.message.contains("BenchArgs")));
     }
 
     #[test]

@@ -45,7 +45,6 @@ fn in_scope(rule: &str, path: &str, src: &str) -> Option<bool> {
         "wall-clock" | "ambient-rng" => library,
         "lossy-cast" => path.starts_with("crates/trace/src/") || src.contains("impl Mergeable for"),
         "panic-policy" => library && !path.contains("/src/bin/"),
-        "bench-flags" => path.starts_with("crates/bench/src/bin/"),
         "dead-pragma" => src.contains("// lint: allow("),
         _ => return None,
     })

@@ -1488,8 +1488,12 @@ mod tests {
     use ladder_reram::Geometry;
     use ladder_xbar::{TableConfig, TimingTable};
 
-    fn table() -> TimingTable {
-        TimingTable::generate(&TableConfig::ladder_default()).expect("table")
+    /// The standard LADDER timing table, built once per test binary.
+    pub(super) fn table() -> TimingTable {
+        static TABLE: std::sync::OnceLock<TimingTable> = std::sync::OnceLock::new();
+        TABLE
+            .get_or_init(|| standard_tables(&TableConfig::ladder_default()).ladder)
+            .clone()
     }
 
     fn baseline_mc() -> MemoryController {
@@ -1504,8 +1508,7 @@ mod tests {
 
     fn ladder_mc(variant: LadderVariant) -> MemoryController {
         let map = AddressMap::new(Geometry::default());
-        let ladder_table = standard_tables(&TableConfig::ladder_default()).ladder;
-        let policy = LadderPolicy::for_variant(variant, ladder_table, map.clone());
+        let policy = LadderPolicy::for_variant(variant, table(), map.clone());
         MemoryController::new(MemCtrlConfig::default(), map, Box::new(policy))
     }
 
@@ -2040,16 +2043,14 @@ mod tests {
 #[cfg(test)]
 mod stress_tests {
     use super::*;
-    use crate::policy::{standard_tables, LadderPolicy};
+    use crate::policy::LadderPolicy;
     use ladder_core::{LadderConfig, LadderVariant, MetadataCacheConfig};
     use ladder_reram::Geometry;
-    use ladder_xbar::TableConfig;
 
     /// Builds an Est controller with a deliberately tiny metadata cache so
     /// conflict sets fill up with pinned (shared) lines.
     fn tiny_cache_mc() -> MemoryController {
         let map = AddressMap::new(Geometry::default());
-        let ladder_table = standard_tables(&TableConfig::ladder_default()).ladder;
         let mut cfg = LadderConfig::for_variant(LadderVariant::Est);
         cfg.cache = MetadataCacheConfig {
             capacity_bytes: 4 * 64, // 4 lines, 4 ways → ONE set
@@ -2057,7 +2058,7 @@ mod stress_tests {
             access_cycles: 2,
             spill_entries: 4,
         };
-        let policy = LadderPolicy::new(cfg, ladder_table, map.clone());
+        let policy = LadderPolicy::new(cfg, tests::table(), map.clone());
         MemoryController::new(MemCtrlConfig::default(), map, Box::new(policy))
     }
 

@@ -565,9 +565,13 @@ mod tests {
     use ladder_xbar::TableConfig;
     use proptest::prelude::*;
 
+    /// The standard tables, built once per test binary: every proptest
+    /// case calls this.
     fn setup() -> (TimingTable, TimingTable, AddressMap) {
-        let t = standard_tables(&TableConfig::ladder_default());
-        (t.ladder, t.blp, AddressMap::new(Geometry::default()))
+        static TABLES: std::sync::OnceLock<Tables> = std::sync::OnceLock::new();
+        let t = TABLES.get_or_init(|| standard_tables(&TableConfig::ladder_default()));
+        let map = AddressMap::new(Geometry::default());
+        (t.ladder.clone(), t.blp.clone(), map)
     }
 
     fn sparse_line() -> LineData {

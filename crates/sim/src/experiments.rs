@@ -1,9 +1,10 @@
 //! One entry point per paper table and figure (the per-experiment index of
 //! DESIGN.md §5).
 //!
-//! Every experiment is deterministic given its [`ExperimentConfig`]; the
-//! `ladder-bench` binaries call these functions and print the same rows and
-//! series the paper reports.
+//! Every experiment is deterministic given its [`ExperimentConfig`]. The
+//! `figures` binary of `ladder-bench` calls these functions, one entry of
+//! its registry (`ladder_bench::figures::ALL`) per figure, and prints the
+//! same rows and series the paper reports.
 
 use crate::config::{builder_for, SimConfig};
 use crate::runner::{AloneIpcCache, Runner, RunnerStats};

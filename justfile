@@ -17,9 +17,8 @@ clippy:
     cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 # Project-invariant static analysis, one pass per file: determinism,
-# accounting safety, panic policy, bench-binary conformance and dead
-# pragmas. `--json` and `--list-rules` are also available on the binary;
-# see DESIGN.md §11.
+# accounting safety, panic policy and dead pragmas. `--json` and
+# `--list-rules` are also available on the binary; see DESIGN.md §11.
 lint:
     cargo run --release -q -p ladder-lint --offline -- --root .
 
@@ -36,7 +35,7 @@ regen-golden:
     GOLDEN_REGEN=1 cargo test -q --offline --test service_determinism -- --nocapture
     GOLDEN_REGEN=1 cargo test -q --offline --test lifetime_determinism -- --nocapture
 
-# Sharded scale-out smoke: the interleave, service and campaign sweeps
+# Sharded scale-out smoke: the interleave, service and campaign figures
 # (merged trace digests included) must be bit-identical across worker
 # counts.
 shards:
@@ -45,27 +44,26 @@ shards:
 
 # Regenerate the paper's main evaluation (set jobs, e.g. `just main-eval 8`).
 main-eval jobs="4":
-    cargo run --release -p ladder-bench --bin main_eval -- --jobs {{jobs}}
+    cargo run --release -p ladder-bench --bin figures --offline -- main_eval --jobs {{jobs}}
 
-# Quick-mode smoke run of every figure/table binary (what verify.sh runs
-# after the test suite).
+# Rewrite every committed results/<figure>.txt (and results/csv/) at the
+# scale that produced it.
+figures jobs="2":
+    cargo run --release -p ladder-bench --bin figures --offline -- regen --jobs {{jobs}}
+
+# Quick-mode smoke run of every figure (what verify.sh runs after the
+# test suite).
 smoke:
-    cargo build --release -p ladder-bench --offline
-    for bin in fig2 fig4b fig11 fig15 main_eval lifetime variability tables \
-               ablations crash mna_table extension faults interleave service \
-               lifetime_campaign; do \
-        echo "-> $bin"; \
-        ./target/release/$bin --quick --jobs 2 >/dev/null; \
-    done
+    cargo run --release -p ladder-bench --bin figures --offline -- all --quick --jobs 2 >/dev/null
 
 # Open-loop tail-latency SLO sweep: offered load x arrival process x
 # scheme, per-tenant p50/p99/p999 report per cell (see EXPERIMENTS.md).
 # Extra flags pass through, e.g. `just slo "--load 2,8 --tenants 5"`.
 slo extra="":
-    cargo run --release -p ladder-bench --bin service --offline -- --quick {{extra}}
+    cargo run --release -p ladder-bench --bin figures --offline -- service --quick {{extra}}
 
 # Multi-year device-lifetime campaign: write-skew x BER x remap backend x
 # code scheme, one CSV row per cell (see EXPERIMENTS.md). Extra flags
 # pass through, e.g. `just lifetime-campaign "--zipf 0.5 --topology 4x2"`.
 lifetime-campaign extra="":
-    cargo run --release -p ladder-bench --bin lifetime_campaign --offline -- --quick {{extra}}
+    cargo run --release -p ladder-bench --bin figures --offline -- lifetime_campaign --quick {{extra}}
