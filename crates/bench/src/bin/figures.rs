@@ -45,7 +45,7 @@ fn print_figure(figure: &Figure, args: &BenchArgs) -> Result<(), FigureError> {
     let runner = args.runner();
     print!("{}", (figure.run)(args, &runner)?);
     report_runner(&runner);
-    args.emit_trace_if_requested(&args.cfg);
+    args.emit_trace_if_requested();
     Ok(())
 }
 

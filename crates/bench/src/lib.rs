@@ -152,12 +152,8 @@ impl BenchArgs {
                 }
                 other => positional.push(other.to_string()),
             }
-            // A flag other than `--quick` consumed its value too.
-            i += if flag == "--quick" || !flag.starts_with('-') {
-                1
-            } else {
-                2
-            };
+            // Every flag but `--quick` consumed its value too.
+            i += 1 + usize::from(flag.starts_with('-') && flag != "--quick");
         }
         let mut cfg = if quick {
             ExperimentConfig::quick()
@@ -227,7 +223,7 @@ impl BenchArgs {
     }
 
     /// If `--trace PATH` was passed, runs one traced LADDER-Est simulation
-    /// of `astar` at `cfg`'s scale, writes chrome://tracing JSON to
+    /// of `astar` at the command line's scale, writes chrome://tracing JSON to
     /// `PATH`, and prints the merged run's per-phase time-attribution
     /// summary, a stats-reconciliation line and the per-shard report to
     /// stderr. Does nothing when the flag is absent. An unwritable path
@@ -239,10 +235,10 @@ impl BenchArgs {
     ///
     /// The `figures` binary calls this after every figure's output, so any
     /// of them can produce a trace without disturbing the figure pipeline
-    /// (the traced run is a separate, additional simulation at the command
-    /// line's scale).
-    pub fn emit_trace_if_requested(&self, cfg: &ExperimentConfig) {
+    /// (the traced run is a separate, additional simulation).
+    pub fn emit_trace_if_requested(&self) {
         let Some(path) = &self.trace else { return };
+        let cfg = &self.cfg;
         let tables = cfg.tables();
         let sim = SimConfig::builder()
             .scheme(Scheme::LadderEst)
