@@ -2,8 +2,8 @@
 //! "Reproducing the paper" table names every figure, DESIGN.md §5 and
 //! EXPERIMENTS.md's reproduce block run only registered figures (the
 //! latter each figure with a committed output, at that output's scale),
-//! `results/` holds a file for exactly those figures, and no doc or
-//! script still calls a per-figure binary. CHANGES.md and ROADMAP.md are
+//! `results/` holds a file for exactly those figures and nothing else but
+//! `csv/`, and no doc or script still calls a per-figure binary. CHANGES.md and ROADMAP.md are
 //! history and are not checked.
 
 use std::path::{Path, PathBuf};
@@ -76,6 +76,23 @@ fn design_and_experiments_run_registered_figures() {
     }
     for f in ALL.iter().filter(|f| f.documented.is_none()) {
         assert!(!root().join(f.results_path()).exists(), "{}", f.name);
+    }
+}
+
+#[test]
+fn results_holds_only_documented_figure_outputs_and_csv() {
+    let dir = std::fs::read_dir(root().join("results")).expect("read results/");
+    for entry in dir {
+        let entry = entry.expect("read a results/ entry");
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let is_dir = entry.file_type().expect("stat a results/ entry").is_dir();
+        let documented = ALL
+            .iter()
+            .any(|f| f.documented.is_some() && f.results_path() == format!("results/{name}"));
+        assert!(
+            if is_dir { name == "csv" } else { documented },
+            "results/{name} is neither a documented figure's output nor csv/"
+        );
     }
 }
 

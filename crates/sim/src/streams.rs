@@ -21,8 +21,18 @@
 //!
 //! Replay yields the very events live generation does, so results do not
 //! depend on which consumer (or `--jobs` worker) recorded a stream.
+//!
+//! A live stream, whether a core stream no other job shares or a service
+//! run's request stream, is generated ahead ([`Ahead`]): a producer
+//! thread of its own fills fixed-size chunks while the simulation
+//! consumes the previous one. A stream depends on its seed and config
+//! only, never on simulated state, so the events are the ones direct
+//! generation yields, in order.
 
+use std::panic::resume_unwind;
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
 use ladder_cpu::{MemEvent, TraceOp, TraceSource};
 use ladder_reram::{Geometry, LineAddr, LineData, LINE_BYTES};
@@ -250,6 +260,123 @@ impl TraceSource for Replay {
     }
 }
 
+/// Items per chunk a producer hands over. Each chunk costs the consumer a
+/// channel receive and, on one CPU, two context switches; at 256 items
+/// that overhead outweighed the overlap there.
+const CHUNK: usize = 1024;
+
+/// Chunks a producer may have sent but the consumer not yet received:
+/// none, so a send waits for the consumer's receive. A producer, several
+/// times faster than its consumer, then keeps one chunk ready while the
+/// consumer reads the one in hand, so at most two chunks of a stream are
+/// in memory. Each chunk queued beyond that added about 65 KB per stream
+/// to peak RSS and no speed.
+const CHUNK_SLOTS: usize = 0;
+
+/// A stream generated ahead on a producer thread of its own.
+///
+/// The producer owns the generator, fills chunks of [`CHUNK`] items and
+/// hands them over a channel of [`CHUNK_SLOTS`] slots; the consumer pops
+/// items from the chunk in hand. Items arrive in generation order,
+/// so the stream is the generator's own. Dropping an `Ahead` stops and
+/// joins its producer, so no producer outlives its stream; a producer
+/// that panicked re-raises its panic in the consumer instead of ending
+/// the stream early.
+pub(crate) struct Ahead<T> {
+    chunk: std::vec::IntoIter<T>,
+    /// `None` once the producer has been joined.
+    chunks: Option<(Receiver<Vec<T>>, JoinHandle<()>)>,
+}
+
+impl<T: Send + 'static> Ahead<T> {
+    /// Starts a producer draining `next` until it returns `None`.
+    pub(crate) fn spawn(mut next: impl FnMut() -> Option<T> + Send + 'static) -> Self {
+        let (tx, rx) = sync_channel(CHUNK_SLOTS);
+        #[cfg(test)]
+        let live = tests::Producers::enter();
+        let producer = std::thread::spawn(move || {
+            #[cfg(test)]
+            let _live = live;
+            loop {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.extend(std::iter::from_fn(&mut next).take(CHUNK));
+                let last = chunk.len() < CHUNK;
+                // An empty chunk would only say the stream ended, which
+                // the producer's exit already says.
+                if chunk.is_empty() || tx.send(chunk).is_err() || last {
+                    return;
+                }
+            }
+        });
+        Ahead {
+            chunk: Vec::new().into_iter(),
+            chunks: Some((rx, producer)),
+        }
+    }
+
+    /// The next item, or `None` once the generator is exhausted.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the producer's panic, with its payload.
+    pub(crate) fn next(&mut self) -> Option<T> {
+        loop {
+            if let Some(item) = self.chunk.next() {
+                return Some(item);
+            }
+            let (rx, _) = self.chunks.as_ref()?;
+            match rx.recv() {
+                Ok(chunk) => self.chunk = chunk.into_iter(),
+                // The producer is gone: it returned or panicked.
+                Err(_) => {
+                    let (_, producer) = self.chunks.take()?;
+                    if let Err(payload) = producer.join() {
+                        resume_unwind(payload);
+                    }
+                    return None;
+                }
+            }
+        }
+    }
+}
+
+impl<T> Drop for Ahead<T> {
+    fn drop(&mut self) {
+        if let Some((rx, producer)) = self.chunks.take() {
+            // With the receiver gone the producer's next send fails, so it
+            // returns after at most one more chunk. Its panic, if any, is
+            // not re-raised here: the stream was not read to that point.
+            drop(rx);
+            let _ = producer.join();
+        }
+    }
+}
+
+/// A closed-loop core stream generated ahead.
+struct AheadTrace {
+    label: &'static str,
+    events: Ahead<MemEvent>,
+}
+
+impl AheadTrace {
+    fn new(mut gen: WorkloadGen) -> Self {
+        AheadTrace {
+            label: gen.profile().name,
+            events: Ahead::spawn(move || gen.next_event()),
+        }
+    }
+}
+
+impl TraceSource for AheadTrace {
+    fn next_event(&mut self) -> Option<MemEvent> {
+        self.events.next()
+    }
+
+    fn label(&self) -> &str {
+        self.label
+    }
+}
+
 /// One run of a key's consecutive consumers: how many have yet to take
 /// the stream and, between the first and the last take, the recording.
 #[derive(Debug)]
@@ -324,7 +451,7 @@ impl StreamPool {
     /// does not share, a live generator.
     pub(crate) fn take(&self, key: &StreamKey) -> Box<dyn TraceSource> {
         let Some((_, run)) = self.shared.iter().find(|(k, _)| k == key) else {
-            return Box::new(key.generator());
+            return Box::new(AheadTrace::new(key.generator()));
         };
         let mut run = run.lock().unwrap_or_else(PoisonError::into_inner);
         let stream = match &run.stream {
@@ -345,8 +472,66 @@ impl StreamPool {
 mod tests {
     use super::*;
     use crate::experiments::{matrix_batch, Workload};
-    use crate::Scheme;
+    use crate::service::feed_for;
+    use crate::{run_sharded, ArrivalKind, Runner, Scheme, ServiceConfig};
     use ladder_reram::Topology;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The producers started from one thread: how many were started, how
+    /// many are running and the most that ran at once.
+    #[derive(Default)]
+    pub(super) struct Producers {
+        started: AtomicUsize,
+        live: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    thread_local! {
+        static PRODUCERS: Arc<Producers> = Arc::default();
+    }
+
+    /// A running producer, counted on the thread that started it until
+    /// the producer drops it on exit.
+    pub(super) struct Live(Arc<Producers>);
+
+    /// What [`Producers::take`] reports.
+    #[derive(Debug)]
+    struct Counts {
+        started: usize,
+        live: usize,
+        peak: usize,
+    }
+
+    impl Producers {
+        /// Counts a producer started from the calling thread.
+        pub(super) fn enter() -> Live {
+            let counts = PRODUCERS.with(Arc::clone);
+            counts.started.fetch_add(1, Ordering::SeqCst);
+            let live = counts.live.fetch_add(1, Ordering::SeqCst) + 1;
+            counts.peak.fetch_max(live, Ordering::SeqCst);
+            Live(counts)
+        }
+
+        /// The calling thread's producers since the last call; resets
+        /// the started count and the peak (to the live count).
+        fn take() -> Counts {
+            PRODUCERS.with(|c| {
+                let live = c.live.load(Ordering::SeqCst);
+                Counts {
+                    started: c.started.swap(0, Ordering::SeqCst),
+                    live,
+                    peak: c.peak.swap(live, Ordering::SeqCst),
+                }
+            })
+        }
+    }
+
+    impl Drop for Live {
+        fn drop(&mut self) {
+            self.0.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
 
     fn drain(mut t: Box<dyn TraceSource>) -> (String, Vec<MemEvent>) {
         let label = t.label().to_string();
@@ -359,6 +544,151 @@ mod tests {
             .flat_map(|p| &p.shared)
             .filter(|(_, run)| run.lock().expect("unpoisoned").stream.is_some())
             .count()
+    }
+
+    fn drain_ahead<T: Send + 'static>(mut a: Ahead<T>) -> Vec<T> {
+        std::iter::from_fn(|| a.next()).collect()
+    }
+
+    #[test]
+    fn ahead_core_streams_equal_direct_generation() {
+        let ecfg = ExperimentConfig {
+            instructions_per_core: 200_000,
+            ..ExperimentConfig::default()
+        };
+        let default = Geometry::default();
+        let shard = Topology::new(4, 2)
+            .expect("valid topology")
+            .shard_geometry(&default);
+        // The budget whose stream is exactly two chunks long.
+        let p = profile_of("bwavs");
+        let two_chunks = (1..)
+            .find(|&i| (i as f64 * (p.rpki + p.wpki) / 1000.0).round() as usize == 2 * CHUNK)
+            .expect("some budget yields two chunks");
+        let keys = [
+            // A mix core.
+            StreamKey::new("lbm", 2, &ecfg, &default, None),
+            // A shard-salted key.
+            StreamKey::new("mcf", 1, &ecfg, &shard, Some(3)),
+            // Shorter than one chunk.
+            StreamKey {
+                instructions: 2_000,
+                ..StreamKey::new("astar", 0, &ecfg, &default, None)
+            },
+            StreamKey {
+                instructions: two_chunks,
+                ..StreamKey::new("bwavs", 0, &ecfg, &default, None)
+            },
+        ];
+        let mut lens = Vec::new();
+        for key in &keys {
+            let ahead = drain(Box::new(AheadTrace::new(key.generator())));
+            assert_eq!(ahead, drain(Box::new(key.generator())), "{key:?}");
+            lens.push(ahead.1.len());
+        }
+        assert!(lens[..2].iter().all(|&n| n > 2 * CHUNK), "{lens:?}");
+        assert!(lens[2] < CHUNK && lens[3] == 2 * CHUNK, "{lens:?}");
+    }
+
+    #[test]
+    fn ahead_service_streams_equal_direct_generation() {
+        let ecfg = ExperimentConfig::default();
+        for arrival in [ArrivalKind::Poisson, ArrivalKind::Bursty] {
+            let scfg = ServiceConfig::builder()
+                .arrival(arrival)
+                .requests(3_000)
+                .build();
+            let mut gen = feed_for(&scfg, &ecfg, &Geometry::default(), None);
+            let mut direct = feed_for(&scfg, &ecfg, &Geometry::default(), None);
+            let ahead = drain_ahead(Ahead::spawn(move || gen.next_request()));
+            assert_eq!(ahead.len(), 3_000);
+            assert_eq!(
+                ahead,
+                std::iter::from_fn(|| direct.next_request()).collect::<Vec<_>>(),
+                "{arrival:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn dropping_a_half_read_stream_joins_its_producer() {
+        Producers::take();
+        // An endless generator: only the closed channel stops it.
+        let mut n = 0u64;
+        let mut a = Ahead::spawn(move || {
+            n += 1;
+            Some(n)
+        });
+        assert_eq!(
+            (0..CHUNK + 10).map(|_| a.next()).last(),
+            Some(Some(CHUNK as u64 + 10))
+        );
+        assert_eq!(Producers::take().live, 1);
+        drop(a);
+        assert_eq!(Producers::take().live, 0);
+    }
+
+    #[test]
+    fn a_panicking_generator_panics_the_consumer_with_its_payload() {
+        let fail_at = CHUNK as u64 + CHUNK as u64 / 2;
+        let mut n = 0u64;
+        let mut a = Ahead::spawn(move || {
+            n += 1;
+            if n == fail_at {
+                std::panic::panic_any(format!("generator failed at {n}"));
+            }
+            Some(n)
+        });
+        let mut read = 0;
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            while a.next().is_some() {
+                read += 1;
+            }
+        }))
+        .expect_err("the stream must not just end");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some(format!("generator failed at {fail_at}").as_str())
+        );
+        assert!(read < fail_at, "read {read}");
+        // The producer is joined: the stream stays ended.
+        assert_eq!(a.next(), None);
+    }
+
+    #[test]
+    fn a_run_has_a_producer_per_live_stream_and_none_outlives_it() {
+        let ecfg = ExperimentConfig {
+            instructions_per_core: 5_000,
+            ..ExperimentConfig::default()
+        };
+        let tables = ecfg.tables();
+        let runner = Runner::with_jobs(1);
+        let topology = Topology::new(2, 2).expect("valid topology");
+        let closed = SimConfig::builder()
+            .workload(Workload::Mix("mix-1"))
+            .topology(topology)
+            .build();
+        let service = SimConfig::builder()
+            .topology(topology)
+            .service(ServiceConfig::builder().requests(2_000).build())
+            .build();
+        Producers::take();
+        // One worker runs the shards one after another on this thread:
+        // each starts one producer per core, or one for the service
+        // stream, and joins them all before the next starts. A short
+        // stream's producer may finish before the last one starts, so
+        // the peak is bounded, not exact.
+        for (cfg, streams) in [(closed, 4), (service, 1)] {
+            let run = run_sharded(&cfg, &ecfg, &tables, &runner);
+            assert_eq!(run.shards.len(), 2);
+            let counts = Producers::take();
+            assert_eq!(
+                (counts.started, counts.live),
+                (2 * streams, 0),
+                "{counts:?}"
+            );
+            assert!((1..=streams).contains(&counts.peak), "{counts:?}");
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::scheme::Scheme;
 use crate::service::ServiceStats;
+use crate::streams::Ahead;
 use ladder_coding::{CodingKind, CodingStats};
 use ladder_core::LadderConfig;
 use ladder_cpu::{Core, CoreAction, CoreConfig, TraceOp, TraceSource};
@@ -28,7 +29,7 @@ use ladder_wear::{
     RemapBackend, RemapKind, RotateHwl, SharedPadRemapper, SharedRetirePool, SharedWearMap,
     WearLeveler,
 };
-use ladder_workloads::service::ServiceGen;
+use ladder_workloads::service::{ServiceGen, ServiceRequest};
 use ladder_xbar::{CrossbarParams, TimingTable};
 use std::collections::VecDeque;
 
@@ -435,7 +436,7 @@ impl SystemBuilder {
             })
             .collect();
 
-        let service = self.service.map(|gen| {
+        let service = self.service.map(|mut gen| {
             // Every tenant gets a group up front, so idle tenants still
             // appear in the folded report.
             let tenants = gen
@@ -448,8 +449,10 @@ impl SystemBuilder {
                     ..TenantGroup::default()
                 })
                 .collect();
+            let names = gen.mix().tenants().iter().map(|t| t.name.clone()).collect();
             Box::new(ServiceState {
-                gen,
+                requests: Ahead::spawn(move || gen.next_request()),
+                names,
                 next: None,
                 pending: VecDeque::new(),
                 inflight: Vec::new(),
@@ -707,9 +710,12 @@ struct EventKernel {
 /// at arrival rate while the banks are busy, and each read's latency runs
 /// from its *arrival*, not from controller acceptance.
 struct ServiceState {
-    gen: ServiceGen,
+    /// The generator's requests, generated ahead.
+    requests: Ahead<ServiceRequest>,
+    /// The tenant names, by tenant index.
+    names: Vec<String>,
     /// The drawn-but-not-yet-dispatched next arrival.
-    next: Option<ladder_workloads::service::ServiceRequest>,
+    next: Option<ServiceRequest>,
     /// Arrived requests the controller has not accepted yet, FIFO, as
     /// `(arrival instant, tenant index, operation)`.
     pending: VecDeque<(Instant, usize, TraceOp)>,
@@ -727,8 +733,8 @@ impl ServiceState {
     /// The run's statistics, with the per-tenant groups folded in under
     /// their tenant names.
     fn into_stats(mut self) -> ServiceStats {
-        for (t, group) in self.gen.mix().tenants().iter().zip(&self.tenants) {
-            self.stats.tenants.merge_group(&t.name, group);
+        for (name, group) in self.names.iter().zip(&self.tenants) {
+            self.stats.tenants.merge_group(name, group);
         }
         self.stats
     }
@@ -885,7 +891,7 @@ impl EventKernel {
         if svc.next.is_some() {
             return;
         }
-        let Some(req) = svc.gen.next_request() else {
+        let Some(req) = svc.requests.next() else {
             return;
         };
         let at = Instant::from_ps(req.at_ps);

@@ -41,8 +41,9 @@ pub enum Pacing {
 
 /// A deterministic arrival process: the *when* layer of the service
 /// model. Implementations draw exclusively from the caller's RNG so the
-/// composed stream stays bit-reproducible.
-pub trait ArrivalProcess: std::fmt::Debug {
+/// composed stream stays bit-reproducible. They are `Send` so a composed
+/// stream can be generated on another thread than the one consuming it.
+pub trait ArrivalProcess: std::fmt::Debug + Send {
     /// Draws the pacing of the next request.
     fn next_pacing(&mut self, rng: &mut SplitMix64) -> Pacing;
 
@@ -181,7 +182,8 @@ impl ArrivalProcess for BurstyArrivals {
 /// A key-popularity distribution: the *which key* layer of the service
 /// model. Keys are dense indices in `[0, keys)`; [`ServiceGen`] scatters
 /// them over a tenant's page window before they reach the `AddressMap`.
-pub trait KeyPopularity: std::fmt::Debug {
+/// `Send` for the same reason as [`ArrivalProcess`].
+pub trait KeyPopularity: std::fmt::Debug + Send {
     /// Draws the next key index.
     fn next_key(&mut self, rng: &mut SplitMix64) -> u64;
 
