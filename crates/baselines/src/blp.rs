@@ -12,6 +12,10 @@
 //! observe.
 
 use ladder_reram::{AddressMap, LineAddr, LineData, LINE_BYTES};
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only, never iterated"
+)]
 use std::collections::HashMap;
 
 /// Columns of one block slot inside each mat (8 bits of one byte).
@@ -39,6 +43,10 @@ const BITS_PER_BYTE: usize = 8;
 #[derive(Debug, Default)]
 pub struct BitlineProfiler {
     /// `(mat array id, slot)` → per-(mat, bit) LRS counts, 64 × 8 entries.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only, never iterated"
+    )]
     counters: HashMap<(u64, usize), Box<[u16; LINE_BYTES * BITS_PER_BYTE]>>,
 }
 
@@ -92,7 +100,7 @@ impl BitlineProfiler {
     pub fn worst_selected_bitline(&self, map: &AddressMap, addr: LineAddr) -> u16 {
         let key = (Self::array_of(map, addr), addr.block_slot());
         match self.counters.get(&key) {
-            // lint: allow(panic-policy) — invariant: per-array counters are a fixed-size nonempty array, max() cannot be None
+            #[expect(clippy::expect_used, reason = "a fixed-size nonempty array has a max")]
             Some(c) => *c.iter().max().expect("fixed-size array"),
             None => 0,
         }

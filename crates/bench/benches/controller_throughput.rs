@@ -8,6 +8,10 @@ use ladder_reram::{AddressMap, Geometry, Instant, LineAddr};
 use ladder_xbar::TableConfig;
 use std::hint::black_box;
 
+#[expect(
+    clippy::expect_used,
+    reason = "a controller with queued work always has a next wake"
+)]
 fn bench_controller(c: &mut Criterion) {
     let ladder_table = standard_tables(&TableConfig::ladder_default()).ladder;
     c.bench_function("controller_1k_mixed_ops_hybrid", |b| {

@@ -7,10 +7,11 @@
 //! recording for a registered tenant. Run by `cargo test --benches`
 //! (one checked iteration) and by `cargo bench` (measured).
 
-// The counting allocator must implement `GlobalAlloc`, which is an unsafe
-// trait; this is the one sanctioned unsafe block in the workspace
-// (`unsafe_code` is denied everywhere else via `[workspace.lints]`).
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "the counting allocator implements the unsafe `GlobalAlloc` trait; \
+              this is the one sanctioned unsafe block in the workspace"
+)]
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ladder_memctrl::{standard_tables, FixedWorstPolicy, MemCtrlConfig, MemoryController, ReqId};
@@ -106,6 +107,10 @@ fn bench_tenant_recording(c: &mut Criterion) {
 
 /// Drives `writes` line writes through a controller, letting it drain
 /// whenever the queue is full, and returns the finish time.
+#[expect(
+    clippy::expect_used,
+    reason = "a controller with queued work always has a next wake"
+)]
 fn drive_writes(mc: &mut MemoryController, mut now: Instant, writes: u64) -> Instant {
     for i in 0..writes {
         let addr = LineAddr::new(40_000 * 64 + (i * 17 % 8192) * 64);
@@ -161,6 +166,10 @@ fn pump_ops(
             if accepted {
                 break;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "a controller that rejects work has a wake queued"
+            )]
             let (t, _) = events
                 .pop()
                 .expect("a rejecting controller has work pending");

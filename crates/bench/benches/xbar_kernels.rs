@@ -21,6 +21,10 @@ fn bench_analytic(c: &mut Criterion) {
     });
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "the default table config generates infallibly"
+)]
 fn bench_table_generation(c: &mut Criterion) {
     let cfg = TableConfig::ladder_default();
     c.bench_function("timing_table_generate_8x8x8", |b| {
@@ -28,6 +32,7 @@ fn bench_table_generation(c: &mut Criterion) {
     });
 }
 
+#[expect(clippy::expect_used, reason = "the fixed 64x64 reset always solves")]
 fn bench_mna(c: &mut Criterion) {
     let params = CrossbarParams::with_size(64, 64);
     let grid = PatternSpec::WorstCaseWl { wl_ones: 32 }.materialize(64, 64, 63, &[56, 63]);

@@ -411,10 +411,10 @@ fn crash(args: &BenchArgs, _: &Runner) -> Result<String, FigureError> {
         for (i, w) in r.post_crash_windows_ns.iter().enumerate() {
             writeln!(out, "  window {:>2} after crash: {:>7.1} ns", i + 1, w)?;
         }
+        #[expect(clippy::expect_used, reason = "crash_recovery measures 24 windows")]
         let last = *r
             .post_crash_windows_ns
             .last()
-            // lint: allow(panic-policy) — invariant: crash_recovery always measures 24 post-crash windows
             .expect("crash_recovery measures post-crash windows");
         writeln!(
             out,
@@ -545,11 +545,8 @@ fn mna_table(args: &BenchArgs, _: &Runner) -> Result<String, FigureError> {
 /// prints its merged digest, bit-identical at any `--jobs`.
 fn interleave(args: &BenchArgs, runner: &Runner) -> Result<String, FigureError> {
     let cfg = &args.cfg;
-    let topology = args.topology_or(
-        Topology::new(4, 2)
-            // lint: allow(panic-policy) — invariant: both dimensions of the 4x2 default are nonzero
-            .expect("static topology"),
-    );
+    #[expect(clippy::expect_used, reason = "4x2 is a valid topology")]
+    let topology = args.topology_or(Topology::new(4, 2).expect("static topology"));
     let tables = cfg.tables();
     let workload = Workload::Single("astar");
     let mut out = String::new();
@@ -686,10 +683,11 @@ fn service(args: &BenchArgs, runner: &Runner) -> Result<String, FigureError> {
                     .service(service)
                     .build();
                 let r = run_sharded(&sim, cfg, &tables, runner).merged();
-                let stats = r
-                    .service
-                    // lint: allow(panic-policy) — invariant: a run built with .service(..) always returns service stats
-                    .expect("service mode always returns stats");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a .service(..) run returns service stats"
+                )]
+                let stats = r.service.expect("service mode always returns stats");
                 let report = SloReport::build(&stats.tenants, r.end.duration_since(Instant::ZERO));
                 writeln!(
                     out,

@@ -29,9 +29,9 @@ pub const USAGE: &str = "flags: [--quick] [--instructions N] [--seed S] [--jobs 
        [--interleave P] [--csv DIR] [--trace PATH]
        [--arrival A] [--zipf T] [--tenants N] [--load L1,L2,..]
   --quick           smoke-test scale (120 k instructions per core)
-  --instructions N  instructions per core (overrides --quick)
+  --instructions N  instructions per core, at least 1 (overrides --quick)
   --seed S          master workload seed (default 2021)
-  --jobs N          worker threads (default: LADDER_JOBS or all cores)
+  --jobs N          worker threads, at least 1 (default: LADDER_JOBS or all cores)
   --topology CxR    shard runs over C channels x R ranks (e.g. 4x2; R <= 8);
                     traced runs fold per-shard digests bit-reproducibly
   --interleave P    address striping policy: channel | bank | page
@@ -98,7 +98,8 @@ impl BenchArgs {
     /// Returns a message naming the offending argument on an unknown
     /// flag, a duplicate flag, a flag missing its value, an unparsable
     /// value, a `--topology` whose shards exceed 64 banks, or a `--zipf`,
-    /// `--tenants` or `--load` value out of range.
+    /// `--tenants`, `--load`, `--jobs` or `--instructions` value out of
+    /// range.
     pub fn parse_from(argv: &[String]) -> Result<BenchArgs, String> {
         let mut quick = false;
         let mut instructions: Option<u64> = None;
@@ -119,9 +120,11 @@ impl BenchArgs {
             match flag {
                 "--quick" if quick => return Err("duplicate flag `--quick`".to_string()),
                 "--quick" => quick = true,
-                "--instructions" => set_once(&mut instructions, argv, i, Ok)?,
+                "--instructions" => {
+                    set_once(&mut instructions, argv, i, |n: u64| at_least_one(flag, n))?
+                }
                 "--seed" => set_once(&mut seed, argv, i, Ok)?,
-                "--jobs" => set_once(&mut jobs, argv, i, Ok)?,
+                "--jobs" => set_once(&mut jobs, argv, i, |n: usize| at_least_one(flag, n))?,
                 "--trace" => set_once(&mut trace, argv, i, Ok)?,
                 "--topology" => set_once(&mut topology, argv, i, |t: Topology| {
                     // Every shard is a one-channel slice of the default
@@ -142,10 +145,7 @@ impl BenchArgs {
                         Err(format!("`--zipf` value `{theta}` is not in [0, 1)"))
                     }
                 })?,
-                "--tenants" => set_once(&mut tenants, argv, i, |n: usize| match n {
-                    0 => Err("`--tenants` must be at least 1".to_string()),
-                    n => Ok(n),
-                })?,
+                "--tenants" => set_once(&mut tenants, argv, i, |n: usize| at_least_one(flag, n))?,
                 "--load" => set_once(&mut load, argv, i, load_list)?,
                 other if other.starts_with('-') => {
                     return Err(format!("unknown argument `{other}`"))
@@ -311,6 +311,15 @@ fn set_once<T: std::str::FromStr, U>(
     Ok(())
 }
 
+/// Rejects a zero count for `flag`.
+fn at_least_one<T: Default + PartialEq>(flag: &str, n: T) -> Result<T, String> {
+    if n == T::default() {
+        Err(format!("`{flag}` must be at least 1"))
+    } else {
+        Ok(n)
+    }
+}
+
 /// Parses `--load`'s comma-separated list of offered loads; every entry
 /// must be a positive finite requests/µs figure.
 fn load_list(raw: String) -> Result<Vec<f64>, String> {
@@ -442,8 +451,11 @@ mod tests {
             let err = parse(&["--zipf", bad]).unwrap_err();
             assert!(err.contains("--zipf"), "{bad}: {err}");
         }
-        let err = parse(&["--tenants", "0"]).unwrap_err();
-        assert!(err.contains("--tenants"), "{err}");
+        for flag in ["--tenants", "--jobs", "--instructions"] {
+            let err = parse(&[flag, "0"]).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+            assert!(parse(&[flag, "1"]).is_ok(), "{flag} 1");
+        }
         assert_eq!(parse(&["--zipf", "0"]).unwrap().zipf, Some(0.0));
         assert_eq!(parse(&["--zipf", "0.99"]).unwrap().zipf, Some(0.99));
         assert_eq!(parse(&["--tenants", "1"]).unwrap().tenants, Some(1));
@@ -607,6 +619,8 @@ mod tests {
             if let Ok(a) = BenchArgs::parse_from(&argv) {
                 prop_assert!(a.zipf.is_none_or(|z| (0.0..1.0).contains(&z)), "{argv:?}");
                 prop_assert!(a.tenants.is_none_or(|n| n >= 1), "{argv:?}");
+                prop_assert!(a.jobs.is_none_or(|n| n >= 1), "{argv:?}");
+                prop_assert!(a.cfg.instructions_per_core >= 1, "{argv:?}");
                 prop_assert!(a.load.iter().all(|l| l.is_finite() && *l > 0.0), "{argv:?}");
                 prop_assert!(!a.quick || argv.iter().any(|t| t == "--quick"));
                 if let Some(t) = a.topology {

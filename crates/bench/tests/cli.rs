@@ -4,6 +4,10 @@
 
 use std::process::{Command, Output};
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a binary that cannot start is a test failure"
+)]
 fn figures(args: &[&str]) -> Output {
     let bin = env!("CARGO_BIN_EXE_figures");
     Command::new(bin).args(args).output().expect("run figures")

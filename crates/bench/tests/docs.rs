@@ -14,6 +14,10 @@ fn root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
+#[expect(
+    clippy::panic,
+    reason = "test helper: an unreadable doc is a test failure"
+)]
 fn read(rel: &str) -> String {
     std::fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("read {rel}: {e}"))
 }
@@ -22,6 +26,10 @@ fn read(rel: &str) -> String {
 /// starting with `end`.
 fn lines_between<'a>(doc: &'a str, start: &str, end: &str) -> Vec<&'a str> {
     let mut lines = doc.lines().skip_while(|l| !l.starts_with(start));
+    #[expect(
+        clippy::panic,
+        reason = "test helper: a missing doc section is a test failure"
+    )]
     let first = lines.next().unwrap_or_else(|| panic!("no `{start}`"));
     std::iter::once(first)
         .chain(lines.take_while(|l| !l.starts_with(end)))

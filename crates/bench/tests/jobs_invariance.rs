@@ -7,6 +7,11 @@
 use std::process::Command;
 
 /// The stdout of `figures figure args`, which must exit successfully.
+#[expect(
+    clippy::panic,
+    clippy::expect_used,
+    reason = "test helper: a figure that cannot run or prints non-UTF-8 is a test failure"
+)]
 fn stdout_of(figure: &str, args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_figures"))
         .arg(figure)

@@ -75,6 +75,7 @@ impl CodingStats {
     }
 }
 
+#[deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
 impl Mergeable for CodingStats {
     fn merge_from(&mut self, other: &Self) {
         let CodingStats {

@@ -256,12 +256,12 @@ impl MetadataCache {
         out
     }
 
+    #[expect(clippy::panic, reason = "callers check residency with lookup() first")]
     fn entry_mut(&mut self, addr: LineAddr) -> &mut TagEntry {
         let set = self.set_of(addr);
         self.sets[set]
             .iter_mut()
             .find(|e| e.addr == addr)
-            // lint: allow(panic-policy) — invariant: callers probe residency via lookup() before touching an entry; a miss here is a controller bug
             .unwrap_or_else(|| panic!("metadata line {addr} not resident"))
     }
 }

@@ -254,7 +254,7 @@ impl MetadataLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     fn geo() -> Geometry {
         Geometry::default()
@@ -357,7 +357,7 @@ mod tests {
     fn hybrid_mapping_is_injective_across_precisions() {
         let layout = hybrid(128);
         let divisor = geo().total_banks() as u64;
-        let mut seen: HashSet<(u64, usize)> = HashSet::new();
+        let mut seen: BTreeSet<(u64, usize)> = BTreeSet::new();
         // Probe pages across wordlines and cycles.
         for cycle in 0..3u64 {
             for wl in [0u64, 1, 127, 128, 129, 300, 511] {

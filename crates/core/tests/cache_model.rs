@@ -5,7 +5,7 @@
 use ladder_core::{InsertOutcome, MetadataCache, MetadataCacheConfig};
 use ladder_reram::LineAddr;
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -30,7 +30,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 /// Resident set reconstructed from the cache's own `contains`.
-fn resident(cache: &MetadataCache, universe: u64) -> HashSet<u64> {
+fn resident(cache: &MetadataCache, universe: u64) -> BTreeSet<u64> {
     (0..universe)
         .filter(|&a| cache.contains(LineAddr::new(a)))
         .collect()
@@ -50,8 +50,8 @@ proptest! {
         };
         let universe = 24u64;
         let mut cache = MetadataCache::new(cfg);
-        let mut sharers: HashMap<u64, u32> = HashMap::new();
-        let mut dirty: HashSet<u64> = HashSet::new();
+        let mut sharers: BTreeMap<u64, u32> = BTreeMap::new();
+        let mut dirty: BTreeSet<u64> = BTreeSet::new();
 
         for op in ops {
             let res = resident(&cache, universe);
@@ -117,7 +117,7 @@ proptest! {
                     }
                 }
                 Op::Flush => {
-                    let flushed: HashSet<u64> =
+                    let flushed: BTreeSet<u64> =
                         cache.flush_dirty().into_iter().map(|l| l.raw()).collect();
                     prop_assert_eq!(&flushed, &dirty, "flush set mismatch");
                     dirty.clear();

@@ -238,7 +238,7 @@ impl Core {
             };
         }
         // The memory op is due now.
-        // lint: allow(panic-policy) — invariant: step() only reaches here after setting pending on this same path
+        #[expect(clippy::expect_used, reason = "step() set pending on this same path")]
         let ev = self.pending.as_ref().expect("pending op");
         match &ev.op {
             TraceOp::Read { addr, .. } => {
@@ -263,11 +263,11 @@ impl Core {
     ///
     /// Panics if no read was pending.
     pub fn on_read_issued(&mut self, id: u64, now: Instant) {
-        // lint: allow(panic-policy) — state-machine contract: on_read_issued requires a pending read, documented under # Panics
+        #[expect(clippy::expect_used, reason = "# Panics contract: a read is pending")]
         let ev = self.pending.take().expect("a read must be pending");
         let critical = match ev.op {
             TraceOp::Read { critical, .. } => critical,
-            // lint: allow(panic-policy) — state-machine contract: on_read_issued is only called for reads, documented under # Panics
+            #[expect(clippy::panic, reason = "# Panics contract: only reads are issued")]
             TraceOp::Write { .. } => panic!("pending op is a write"),
         };
         self.retired += 1;
@@ -317,14 +317,17 @@ impl Core {
                 self.retired += 1;
             }
             Blocked::None => {
-                // lint: allow(panic-policy) — state-machine contract: on_write_accepted requires a pending write, documented under # Panics
+                #[expect(clippy::expect_used, reason = "# Panics contract: a write is pending")]
                 let ev = self.pending.take().expect("a write must be pending");
                 debug_assert!(matches!(ev.op, TraceOp::Write { .. }));
                 self.retired += 1;
             }
+            #[expect(
+                clippy::panic,
+                reason = "the simulator never accepts a write to a read-blocked core"
+            )]
             other => {
                 self.blocked = other;
-                // lint: allow(panic-policy) — state-machine contract: the simulator never accepts a write while the core is read-blocked
                 panic!("write accepted while blocked on a read");
             }
         }
@@ -341,14 +344,14 @@ impl Core {
             self.begin_stall(now);
             return;
         }
-        // lint: allow(panic-policy) — state-machine contract: on_write_rejected requires a pending write, documented under # Panics
+        #[expect(clippy::expect_used, reason = "# Panics contract: a write is pending")]
         let ev = self.pending.take().expect("a write must be pending");
         match ev.op {
             TraceOp::Write { addr, data } => {
                 self.blocked = Blocked::WriteQueue(Box::new((addr, *data)));
                 self.begin_stall(now);
             }
-            // lint: allow(panic-policy) — state-machine contract: on_write_rejected requires a pending write, documented under # Panics
+            #[expect(clippy::panic, reason = "# Panics contract: a write is pending")]
             TraceOp::Read { .. } => panic!("pending op is a read"),
         }
     }

@@ -27,6 +27,11 @@ fn arb_event() -> impl Strategy<Value = MemEvent> {
 
 /// Drives a core against a synthetic memory system that completes reads
 /// after `read_delay` and rejects each write `write_rejects` times first.
+#[expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test driver: a core blocked with nothing outstanding, or a lost retry, is the failure under test"
+)]
 fn drive(events: Vec<MemEvent>, read_delay: u64, write_rejects: u32) -> (Core, Instant) {
     let total_instructions: u64 = events.iter().map(|e| e.gap_instructions + 1).sum();
     let mut core = Core::new(

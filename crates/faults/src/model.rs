@@ -92,6 +92,7 @@ impl FaultStats {
     }
 }
 
+#[deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
 impl Mergeable for FaultStats {
     fn merge_from(&mut self, other: &Self) {
         let FaultStats {

@@ -17,6 +17,10 @@ fn controller(tables: &Tables) -> MemoryController {
 
 /// Feed `n` data writes through the controller, pumping its event loop
 /// whenever the write queue refuses new work (the `fig15` idiom).
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a wedged controller fails the test"
+)]
 fn feed_writes(mc: &mut MemoryController, n: u64) -> Instant {
     let mut now = Instant::ZERO;
     let mut x = 0x2545_f491_4f6c_dd1du64;

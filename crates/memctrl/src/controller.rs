@@ -232,6 +232,7 @@ impl MemStats {
 /// Folds another controller's statistics into this one: peaks take the
 /// maximum, everything else adds. No `..` in the pattern, so a new field
 /// fails to compile until it is folded here.
+#[deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
 impl Mergeable for MemStats {
     fn merge_from(&mut self, other: &Self) {
         let MemStats {
@@ -496,7 +497,10 @@ impl Channel {
     }
 
     fn remove_read(&mut self, idx: usize) -> ReadEntry {
-        // lint: allow(panic-policy) — invariant: callers pass an index position() produced over this same queue
+        #[expect(
+            clippy::expect_used,
+            reason = "idx comes from position() over this queue"
+        )]
         let e = self.rdq.remove(idx).expect("index valid");
         let bit = self.bit(e.bank);
         self.reads.remove(bit);

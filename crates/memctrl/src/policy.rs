@@ -12,6 +12,10 @@ use ladder_core::{
 };
 use ladder_reram::{AddressMap, LineAddr, LineData, LineStore, Picos};
 use ladder_xbar::{ContentAxis, TableConfig, TimingTable};
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only, never iterated"
+)]
 use std::collections::HashMap;
 
 /// Extra work a write needs when it enters the write queue.
@@ -394,6 +398,10 @@ pub struct LadderPolicy {
     map: AddressMap,
     trace: CwTrace,
     /// Last-persisted metadata images, for write-back switching statistics.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only, never iterated"
+    )]
     persisted_meta: HashMap<u64, LineData>,
 }
 
@@ -415,7 +423,7 @@ impl LadderPolicy {
             table,
             map,
             trace: CwTrace::default(),
-            persisted_meta: HashMap::new(),
+            persisted_meta: Default::default(),
         }
     }
 
@@ -548,11 +556,17 @@ impl Tables {
 /// only when `cfg.law` puts an entry above `u32::MAX` ps
 /// ([`ladder_xbar::MnaError::LatencyOverflow`]).
 pub fn standard_tables(cfg: &TableConfig) -> Tables {
-    // lint: allow(panic-policy) — invariant: the analytic source fails only on an overflowing law, documented under # Panics
+    #[expect(
+        clippy::expect_used,
+        reason = "# Panics contract: only an overflowing law fails"
+    )]
     let ladder = TimingTable::generate(cfg).expect("wordline table");
     let mut blp_cfg = cfg.clone();
     blp_cfg.content_axis = ContentAxis::Bitline;
-    // lint: allow(panic-policy) — invariant: the analytic source fails only on an overflowing law, documented under # Panics
+    #[expect(
+        clippy::expect_used,
+        reason = "# Panics contract: only an overflowing law fails"
+    )]
     let blp = TimingTable::generate(&blp_cfg).expect("bitline table");
     Tables { ladder, blp }
 }

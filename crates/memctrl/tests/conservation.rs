@@ -69,7 +69,7 @@ proptest! {
         let mut now = Instant::ZERO;
         let mut accepted_reads = 0u64;
         let mut accepted_write_addrs: Vec<u64> = Vec::new();
-        let mut completion_ids = std::collections::HashSet::new();
+        let mut completion_ids = std::collections::BTreeSet::new();
         for r in reqs {
             match r {
                 Req::Read(a) => {

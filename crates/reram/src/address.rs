@@ -229,9 +229,12 @@ impl AddressMap {
     ///
     /// Panics if the geometry violates the structural constraints of
     /// [`Geometry::validate`].
+    #[expect(
+        clippy::panic,
+        reason = "# Panics contract: invalid geometry is a config bug"
+    )]
     pub fn with_interleave(geometry: Geometry, interleave: Interleave) -> Self {
         if let Err(msg) = geometry.validate() {
-            // lint: allow(panic-policy) — constructor contract: invalid geometry is a configuration bug, documented under # Panics
             panic!("unsupported geometry: {msg}");
         }
         let order = interleave.order(&geometry);
@@ -451,7 +454,7 @@ mod tests {
     fn lines_of_a_page_share_wlg_and_wordline() {
         let map = AddressMap::new(Geometry::default());
         let wlg = map.wlg_of(LineAddr::new(64 * 777));
-        let mut slots = std::collections::HashSet::new();
+        let mut slots = std::collections::BTreeSet::new();
         let mut wordline = None;
         for line in map.lines_of_wlg(wlg) {
             let d = map.decode(line);
@@ -480,7 +483,7 @@ mod tests {
     fn flat_bank_is_unique_per_bank() {
         let g = Geometry::default();
         let map = AddressMap::new(g.clone());
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for page in 0..g.total_banks() as u64 {
             let d = map.decode(LineAddr::new(page * 64));
             seen.insert(d.flat_bank(&g));
@@ -549,7 +552,7 @@ mod tests {
         assert!(g.validate().is_ok());
         for policy in Interleave::ALL {
             let map = AddressMap::with_interleave(g.clone(), policy);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for raw in 0..g.lines() {
                 let a = LineAddr::new(raw);
                 let d = map.decode(a);

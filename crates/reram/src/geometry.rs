@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn byte_to_chip_and_mat_covers_all_mats() {
         let g = Geometry::default();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for b in 0..LINE_BYTES {
             seen.insert((g.chip_of_byte(b), g.mat_of_byte(b)));
         }

@@ -9,6 +9,10 @@
 use crate::address::LineAddr;
 use crate::bits;
 use crate::geometry::LINE_BYTES;
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only, never iterated; LineHasher is seed-free"
+)]
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -70,6 +74,10 @@ pub struct LineStore {
 /// A map keyed by a raw line address or page number, hashed with
 /// [`LineHasher`]. For maps nothing iterates: the hash only has to spread
 /// simulator-generated keys, not resist adversaries.
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only, never iterated; LineHasher is seed-free"
+)]
 pub type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
 
 /// Multiplicative (Fibonacci) hash of one `u64` key, rotated so the

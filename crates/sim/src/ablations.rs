@@ -9,12 +9,11 @@
 //! Every sweep point is an independent simulation, so each study fans its
 //! runs out on the caller's [`Runner`].
 
-use crate::config::{builder_for, SimConfig};
+use crate::config::{monolithic_builder, SimConfig};
 use crate::experiments::{ExperimentConfig, Workload};
 use crate::runner::Runner;
 use crate::scheme::Scheme;
 use crate::shard::run_sim;
-use crate::streams::StreamPool;
 use crate::system::RunResult;
 use ladder_core::{FnwPolicy, LadderConfig, LadderVariant, MetadataCacheConfig};
 use ladder_memctrl::{MemCtrlConfig, Tables};
@@ -54,20 +53,17 @@ fn run_with_ladder_cfg(
     lcfg: LadderConfig,
     scheme: Scheme,
 ) -> RunResult {
-    let mut b = builder_for(
-        &SimConfig::new(scheme, workload),
-        cfg,
-        tables,
-        Geometry::default(),
-        None,
-        &StreamPool::default(),
-    );
+    let mut b = monolithic_builder(scheme, workload, cfg, tables);
     b.ladder_config(lcfg);
     b.run()
 }
 
 /// Runs the shared pessimistic baseline plus one LADDER run per sweep
 /// value, all in one parallel batch; job 0 is the baseline.
+#[expect(
+    clippy::expect_used,
+    reason = "split_off(1) leaves just the baseline run"
+)]
 fn sweep_with_base<V: Copy + Sync>(
     cfg: &ExperimentConfig,
     workload: Workload,
@@ -84,7 +80,6 @@ fn sweep_with_base<V: Copy + Sync>(
         }
     });
     let rest = results.split_off(1);
-    // lint: allow(panic-policy) — invariant: split_off(1) leaves exactly the baseline run in results
     (results.pop().expect("baseline run"), rest)
 }
 
@@ -241,14 +236,7 @@ pub fn drain_watermark_sweep(
     let (results, _) = runner.run_jobs(watermarks.len() * schemes.len(), |i| {
         let (high, low) = watermarks[i / schemes.len()];
         let scheme = schemes[i % schemes.len()];
-        let mut b = builder_for(
-            &SimConfig::new(scheme, workload),
-            cfg,
-            &tables,
-            Geometry::default(),
-            None,
-            &StreamPool::default(),
-        );
+        let mut b = monolithic_builder(scheme, workload, cfg, &tables);
         b.mem_config(MemCtrlConfig {
             drain_high: high,
             drain_low: low,
@@ -290,14 +278,7 @@ pub fn vwl_comparison(
         _ => {
             let total_lines = Geometry::default().lines();
             let base_line = (Geometry::default().pages() as u64 / 16) * 64;
-            let mut b = builder_for(
-                &SimConfig::new(Scheme::LadderEst, workload),
-                cfg,
-                &tables,
-                Geometry::default(),
-                None,
-                &StreamPool::default(),
-            );
+            let mut b = monolithic_builder(Scheme::LadderEst, workload, cfg, &tables);
             b.leveler(Box::new(StartGap::new(
                 base_line,
                 total_lines - base_line - 1,

@@ -75,7 +75,7 @@ use ladder_wear::{RemapKind, SegmentVwl};
 /// let cfg = SimConfig { scheme: Scheme::LadderEst, ..base };
 /// ```
 #[derive(Debug, Clone, Copy)]
-#[allow(
+#[expect(
     clippy::manual_non_exhaustive,
     reason = "`#[non_exhaustive]` binds only other crates; the private field also rejects literals in ladder-sim's other modules"
 )]
@@ -282,6 +282,25 @@ pub(crate) fn builder_for(
     }
     b.tracing(cfg.trace);
     b
+}
+
+/// [`builder_for`] of one monolithic run of `scheme` on `workload` over
+/// the default module, with live core streams: the base of the figure
+/// runs that override one builder knob on top.
+pub(crate) fn monolithic_builder(
+    scheme: Scheme,
+    workload: Workload,
+    ecfg: &ExperimentConfig,
+    tables: &Tables,
+) -> SystemBuilder {
+    builder_for(
+        &SimConfig::new(scheme, workload),
+        ecfg,
+        tables,
+        Geometry::default(),
+        None,
+        &StreamPool::default(),
+    )
 }
 
 /// Segment-based VWL over the data region of `geometry`: 16 MB segments

@@ -6,18 +6,18 @@
 //! its registry (`ladder_bench::figures::ALL`) per figure, and prints the
 //! same rows and series the paper reports.
 
-use crate::config::{builder_for, SimConfig};
+use crate::config::{monolithic_builder, SimConfig};
 use crate::runner::{AloneIpcCache, Runner, RunnerStats};
 use crate::scheme::Scheme;
 use crate::service::ServiceConfig;
 use crate::shard::{run_sharded, run_sim};
-use crate::streams::{StreamKey, StreamPool};
+use crate::streams::StreamKey;
 use crate::system::RunResult;
 use ladder_coding::{CodingKind, CodingStats};
 use ladder_cpu::TraceSource;
 use ladder_faults::{FaultConfig, FaultStats};
-use ladder_memctrl::{standard_tables, Tables};
-use ladder_reram::{Geometry, Instant, Topology, LINES_PER_WLG};
+use ladder_memctrl::{standard_tables, MemoryController, Tables};
+use ladder_reram::{Geometry, Instant, LineAddr, LineData, Topology, LINES_PER_WLG};
 use ladder_wear::RemapKind;
 use ladder_workloads::{profile_of, WorkloadGen, MIXES, SINGLE_BENCHMARKS};
 use ladder_xbar::TableConfig;
@@ -97,11 +97,11 @@ impl Workload {
     pub fn members(&self) -> Vec<&'static str> {
         match self {
             Workload::Single(b) => vec![b],
+            #[expect(clippy::panic, reason = "# Panics contract: mix names come from MIXES")]
             Workload::Mix(m) => MIXES
                 .iter()
                 .find(|(name, _)| name == m)
                 .map(|(_, members)| members.to_vec())
-                // lint: allow(panic-policy) — caller contract: mix names come from the fixed MIXES catalog, documented under # Panics
                 .unwrap_or_else(|| panic!("unknown mix {m}")),
         }
     }
@@ -209,11 +209,11 @@ impl WorkloadEval {
     /// # Panics
     ///
     /// Panics if the scheme was not part of the evaluation.
+    #[expect(clippy::panic, reason = "# Panics contract: the scheme was evaluated")]
     pub fn run(&self, scheme: Scheme) -> &RunResult {
         self.runs
             .iter()
             .find(|r| r.scheme == scheme)
-            // lint: allow(panic-policy) — caller contract: scheme must be part of the evaluation, documented under # Panics
             .unwrap_or_else(|| panic!("scheme {scheme} not evaluated"))
     }
 
@@ -223,11 +223,11 @@ impl WorkloadEval {
     ///
     /// Panics if the scheme was not part of the evaluation.
     pub fn speedup(&self, scheme: Scheme) -> f64 {
+        #[expect(clippy::panic, reason = "# Panics contract: the scheme was evaluated")]
         let idx = self
             .runs
             .iter()
             .position(|r| r.scheme == scheme)
-            // lint: allow(panic-policy) — caller contract: scheme must be part of the evaluation, documented under # Panics
             .unwrap_or_else(|| panic!("scheme {scheme} not evaluated"));
         self.speedups[idx]
     }
@@ -311,10 +311,10 @@ impl<'a> MainEvalBuilder<'a> {
         for (&b, r) in extra.iter().zip(&extra_results) {
             alone.insert(b, r.ipc0());
         }
+        #[expect(clippy::expect_used, reason = "Baseline membership was checked above")]
         let base_idx = schemes
             .iter()
             .position(|&s| s == Scheme::Baseline)
-            // lint: allow(panic-policy) — invariant: position() cannot fail, Baseline membership was checked above
             .expect("checked above");
         let mut per_workload: Vec<(Workload, Vec<RunResult>)> = Vec::with_capacity(workloads.len());
         let mut it = results.into_iter();
@@ -561,11 +561,14 @@ impl FigureSeries {
     ///
     /// Panics if the scheme is not a column.
     pub fn avg_of(&self, scheme: Scheme) -> f64 {
+        #[expect(
+            clippy::panic,
+            reason = "# Panics contract: the scheme is in the series"
+        )]
         let idx = self
             .schemes
             .iter()
             .position(|&s| s == scheme)
-            // lint: allow(panic-policy) — caller contract: scheme must be part of the series, documented under # Panics
             .unwrap_or_else(|| panic!("scheme {scheme} not in series"));
         self.average[idx]
     }
@@ -664,7 +667,7 @@ pub fn fig15(cfg: &ExperimentConfig, runner: &Runner) -> Vec<Fig15Row> {
 /// two share one generated stream.
 fn fig15_cell(cfg: &ExperimentConfig, tables: &Tables, w: Workload) -> [f64; 2] {
     use ladder_core::{LadderConfig, LadderVariant};
-    use ladder_memctrl::{LadderPolicy, MemCtrlConfig, MemoryController};
+    use ladder_memctrl::{LadderPolicy, MemCtrlConfig};
     use ladder_reram::AddressMap;
 
     // Dense revisiting: a compact page window and an event budget that
@@ -698,12 +701,7 @@ fn fig15_cell(cfg: &ExperimentConfig, tables: &Tables, w: Workload) -> [f64; 2] 
         while let Some(ev) = trace.next_event() {
             if let ladder_cpu::TraceOp::Write { addr, data } = ev.op {
                 for (mc, now) in &mut feeds {
-                    while !mc.enqueue_write(addr, *data, *now) {
-                        // lint: allow(panic-policy) — invariant: an unfinished controller always schedules a next wake (kernel progress invariant, DESIGN §3)
-                        *now = mc.next_wake(*now).expect("controller progress");
-                        mc.process(*now);
-                    }
-                    mc.process(*now);
+                    feed_write(mc, now, addr, *data);
                 }
             }
         }
@@ -712,6 +710,20 @@ fn fig15_cell(cfg: &ExperimentConfig, tables: &Tables, w: Workload) -> [f64; 2] 
         mc.finish(now);
         mc.policy().cw_trace().map(|t| t.mean_diff()).unwrap_or(0.0)
     })
+}
+
+/// Hands one write to a standalone controller at `now`, advancing `now`
+/// through the controller's own wakes until its write queue accepts it.
+#[expect(
+    clippy::expect_used,
+    reason = "a controller with queued work always has a next wake"
+)]
+fn feed_write(mc: &mut MemoryController, now: &mut Instant, addr: LineAddr, data: LineData) {
+    while !mc.enqueue_write(addr, data, *now) {
+        *now = mc.next_wake(*now).expect("controller progress");
+        mc.process(*now);
+    }
+    mc.process(*now);
 }
 
 // ---------------------------------------------------------------------------
@@ -837,10 +849,10 @@ pub fn error_rate_sweep(
     }
     let (results, _) = runner.run_configs(cfg, &tables, &specs);
     let endurance = FaultConfig::with_ber(cfg.seed, 0.0).endurance;
+    #[expect(clippy::expect_used, reason = "every fault-sweep run tracks wear")]
     let lifetime_of = |r: &RunResult| {
         r.wear
             .as_ref()
-            // lint: allow(panic-policy) — invariant: fault sweeps enable wear tracking in every RunSpec they build
             .expect("wear tracking enabled")
             .with(|w| w.lifetime_seconds(endurance, r.end.duration_since(Instant::ZERO)))
     };
@@ -851,6 +863,10 @@ pub fn error_rate_sweep(
             let r = &results[schemes.len() + bi * schemes.len() + si];
             let control = &controls[si];
             let lifetime_s = lifetime_of(r);
+            #[expect(
+                clippy::expect_used,
+                reason = "every fault-sweep run installs the fault model"
+            )]
             rows.push(FaultSweepRow {
                 scheme,
                 ber,
@@ -861,7 +877,6 @@ pub fn error_rate_sweep(
                 retry_time_frac: r.mem.retry_time.as_ps() as f64 / r.end.as_ps().max(1) as f64,
                 lifetime_s,
                 lifetime_vs_fault_free: lifetime_s / lifetime_of(control),
-                // lint: allow(panic-policy) — invariant: fault sweeps run with the fault model installed two lines up
                 faults: r.faults.expect("fault model installed"),
             });
         }
@@ -1058,7 +1073,7 @@ pub struct CrashRecoveryResult {
 /// timings, then estimates re-tighten as lines are rewritten.
 pub fn crash_recovery(cfg: &ExperimentConfig, bench: &'static str) -> CrashRecoveryResult {
     use ladder_core::{LadderConfig, LadderVariant};
-    use ladder_memctrl::{LadderPolicy, MemCtrlConfig, MemoryController};
+    use ladder_memctrl::{LadderPolicy, MemCtrlConfig};
     use ladder_reram::AddressMap;
 
     let tables = cfg.tables();
@@ -1081,12 +1096,7 @@ pub fn crash_recovery(cfg: &ExperimentConfig, bench: &'static str) -> CrashRecov
         while fed < n_writes {
             let Some(ev) = gen.next_event() else { break };
             if let ladder_cpu::TraceOp::Write { addr, data } = ev.op {
-                while !mc.enqueue_write(addr, *data, *now) {
-                    // lint: allow(panic-policy) — invariant: an unfinished controller always schedules a next wake (kernel progress invariant, DESIGN §3)
-                    *now = mc.next_wake(*now).expect("controller progress");
-                    mc.process(*now);
-                }
-                mc.process(*now);
+                feed_write(mc, now, addr, *data);
                 fed += 1;
             }
         }
@@ -1162,14 +1172,7 @@ pub fn hot_remap_extension(
             &tables,
         ),
         _ => {
-            let mut b = builder_for(
-                &SimConfig::new(Scheme::LadderHybrid, workload),
-                cfg,
-                &tables,
-                Geometry::default(),
-                None,
-                &StreamPool::default(),
-            );
+            let mut b = monolithic_builder(Scheme::LadderHybrid, workload, cfg, &tables);
             b.leveler(Box::new(HotPageRemapper::new(frames.clone(), 400)));
             b.run()
         }
@@ -1225,6 +1228,7 @@ impl CampaignSpec {
     /// The shipped figure: 2 skews × 3 BERs × both remap backends × all
     /// three code schemes over a 2×2 topology. `quick` scales the
     /// per-cell request count down to smoke-run size.
+    #[expect(clippy::expect_used, reason = "2x2 is a valid topology")]
     pub fn standard(quick: bool) -> Self {
         Self {
             skews: vec![0.2, 0.99],
@@ -1233,7 +1237,6 @@ impl CampaignSpec {
             codings: CodingKind::ALL.to_vec(),
             requests: if quick { 600 } else { 8_000 },
             load: 4.0,
-            // lint: allow(panic-policy) — static 2x2 literal is always a valid topology
             topology: Topology::new(2, 2).expect("static 2x2 topology"),
             scheme: Scheme::LadderEst,
         }
@@ -1352,24 +1355,24 @@ pub fn lifetime_campaign(
                     // Device write rate over the run, and the worst
                     // shard's wear concentration (the device dies at its
                     // most uneven spot).
+                    #[expect(clippy::expect_used, reason = "every campaign config tracks wear")]
                     let total_writes: u64 = run
                         .shards
                         .iter()
                         .map(|r| {
                             r.wear
                                 .as_ref()
-                                // lint: allow(panic-policy) — invariant: the campaign enables wear tracking in every config it builds
                                 .expect("campaign enables wear tracking")
                                 .with(|w| w.total_writes())
                         })
                         .sum();
+                    #[expect(clippy::expect_used, reason = "every campaign config tracks wear")]
                     let unevenness = run
                         .shards
                         .iter()
                         .map(|r| {
                             r.wear
                                 .as_ref()
-                                // lint: allow(panic-policy) — invariant: the campaign enables wear tracking in every config it builds
                                 .expect("campaign enables wear tracking")
                                 .with(|w| w.unevenness())
                         })

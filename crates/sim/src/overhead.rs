@@ -117,7 +117,10 @@ pub fn table4_paper_values() -> [Table4Row; 3] {
 /// Renders the full overhead report.
 pub fn report() -> String {
     let geometry = Geometry::default();
-    // lint: allow(panic-policy) — invariant: the default table config generates infallibly (same contract as standard_tables)
+    #[expect(
+        clippy::expect_used,
+        reason = "the default table config generates infallibly"
+    )]
     let table = TimingTable::generate(&TableConfig::ladder_default()).expect("table");
     let mut out = String::new();
     out.push_str("Storage overhead (computed from metadata layouts):\n");

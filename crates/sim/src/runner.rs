@@ -113,6 +113,7 @@ impl RunnerStats {
 /// Folds another batch's stats into this one (used by experiments that
 /// issue several batches). No `..` in the pattern, so a new field fails
 /// to compile until it is folded here.
+#[deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
 impl Mergeable for RunnerStats {
     fn merge_from(&mut self, other: &Self) {
         let RunnerStats {
@@ -240,10 +241,13 @@ impl Runner {
                 }
             });
             for slot in slots {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the scope joined, so every slot is filled"
+                )]
                 let (out, elapsed) = slot
                     .into_inner()
                     .unwrap_or_else(PoisonError::into_inner)
-                    // lint: allow(panic-policy) — invariant: the scope joined, so every slot was filled exactly once
                     .expect("runner: every job slot is filled after the scope joins");
                 results.push(out);
                 job_times.push(elapsed);
@@ -357,9 +361,12 @@ impl AloneIpcCache {
 
     /// The cached IPC for `bench`; panics if the cache was not populated
     /// for it (a bug in the caller's populate step).
+    #[expect(
+        clippy::panic,
+        reason = "populate() precedes every read; a miss is a caller bug"
+    )]
     pub fn ipc(&self, bench: &str) -> f64 {
         self.get(bench)
-            // lint: allow(panic-policy) — populate() precedes every mix-metric read; a miss is a caller bug worth aborting on
             .unwrap_or_else(|| panic!("alone-run IPC for '{bench}' was never populated"))
     }
 

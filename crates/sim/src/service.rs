@@ -90,7 +90,7 @@ impl FromStr for ArrivalKind {
 /// let cfg = ServiceConfig { load: 8.0, ..base };
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[allow(
+#[expect(
     clippy::manual_non_exhaustive,
     reason = "`#[non_exhaustive]` binds only other crates; the private field also rejects literals in ladder-sim's other modules"
 )]
@@ -196,6 +196,7 @@ pub struct ServiceStats {
     pub deferred: u64,
 }
 
+#[deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
 impl Mergeable for ServiceStats {
     fn merge_from(&mut self, other: &Self) {
         let ServiceStats {

@@ -617,6 +617,7 @@ impl EventCounts {
 
 /// Accumulates another run's counters into this one. No `..` in the
 /// pattern, so a new counter fails to compile until it is folded here.
+#[deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
 impl Mergeable for EventCounts {
     fn merge_from(&mut self, other: &Self) {
         let EventCounts {

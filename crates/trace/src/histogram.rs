@@ -124,6 +124,10 @@ impl LatencyHistogram {
         if self.total == 0 {
             return Picos::ZERO;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "q is in [0, 1], so the rank lies in [1, total] and fits u64"
+        )]
         let target = ((self.total as f64) * q).ceil().max(1.0) as u64;
         let mut seen = 0;
         for (i, &c) in self.counts.iter().enumerate() {

@@ -38,6 +38,10 @@
 //! assert_eq!(off.records(), 0);
 //! ```
 
+// Accounting code: a narrowing `as` cast must be justified where it is
+// written (`#[expect(clippy::<lint>, reason = ..)]`).
+#![deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+
 mod export;
 mod histogram;
 mod metrics;

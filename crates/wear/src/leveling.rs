@@ -105,10 +105,13 @@ impl StartGap {
 
 impl WearLeveler for StartGap {
     fn map(&self, logical: LineAddr) -> LineAddr {
+        #[expect(
+            clippy::expect_used,
+            reason = "region-membership precondition, as the assert below"
+        )]
         let rel = logical
             .raw()
             .checked_sub(self.base)
-            // lint: allow(panic-policy) — region-membership precondition, documented on the trait; same contract as the assert below
             .expect("address below region base");
         assert!(rel < self.lines, "address beyond region");
         let rotated = (rel + self.start) % self.lines;
@@ -196,10 +199,13 @@ impl SegmentVwl {
 impl WearLeveler for SegmentVwl {
     fn map(&self, logical: LineAddr) -> LineAddr {
         let base_line = self.base_page * LINES_PER_WLG as u64;
+        #[expect(
+            clippy::expect_used,
+            reason = "region-membership precondition, as the assert below"
+        )]
         let rel = logical
             .raw()
             .checked_sub(base_line)
-            // lint: allow(panic-policy) — region-membership precondition, documented on the trait; same contract as the assert below
             .expect("address below region base");
         let seg = rel / self.lines_per_segment();
         assert!(seg < self.segments, "address beyond region");
@@ -283,7 +289,7 @@ mod tests {
         let mut sg = StartGap::new(0, 256, 5);
         for _ in 0..1000 {
             sg.note_write(LineAddr::new(0));
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for l in 0..256u64 {
                 let p = sg.map(LineAddr::new(l));
                 assert!(p.raw() <= 256, "physical beyond region+gap");
@@ -337,7 +343,7 @@ mod tests {
         for i in 0..50u64 {
             sv.note_write(LineAddr::new(i % (6 * 4 * 64)));
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for l in 0..(6 * 4 * 64u64) {
             assert!(seen.insert(sv.map(LineAddr::new(l))));
         }

@@ -700,7 +700,7 @@ mod tests {
             let page = 100 + x % 50;
             r.note_write(LineAddr::new(page * 64 + x % 64));
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = BTreeSet::new();
         for page in (100..150).chain([10u64, 11, 12]) {
             assert!(seen.insert(r.map(LineAddr::new(page * 64)).page()));
         }
@@ -947,7 +947,7 @@ mod tests {
                 pad.remap_faulty(page);
             }
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = BTreeSet::new();
         for page in (100..150).chain([200u64, 201, 202]) {
             assert!(seen.insert(pad.map(LineAddr::new(page * 64)).page()));
         }

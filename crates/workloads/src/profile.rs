@@ -74,7 +74,10 @@ pub const MIXES: [(&str, [&str; 4]); 8] = [
 /// assert!(mcf.dependency_fraction >= 0.15, "mcf is pointer-chasing");
 /// ```
 pub fn profile_of(name: &str) -> BenchmarkProfile {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one positional row per benchmark reads as a table"
+    )]
     fn p(
         name: &'static str,
         rpki: f64,
@@ -148,7 +151,10 @@ pub fn profile_of(name: &str) -> BenchmarkProfile {
         "zeusmp" => p(
             "zeusmp", 8.0, 2.3, 0.07, 12, 35_000, 0.80, 0.80, true, 0.30, 0.30, 0.45,
         ),
-        // lint: allow(panic-policy) — caller contract: benchmark names are validated against the catalog at workload parse time
+        #[expect(
+            clippy::panic,
+            reason = "workload parsing checks names against the catalog"
+        )]
         other => panic!("unknown benchmark {other:?}"),
     }
 }

@@ -62,6 +62,7 @@ pub struct OperatingPoint {
 /// assert_eq!(vd.len(), 8);
 /// assert!(vd.iter().all(|&(_, v)| v > 0.0 && v < 3.0));
 /// ```
+#[expect(clippy::expect_used, reason = "the assert above makes bls nonempty")]
 pub fn estimate_vd(params: &CrossbarParams, op: &OperatingPoint) -> Vec<(usize, f64)> {
     let (rows, cols) = (params.rows, params.cols);
     assert!(op.target_wl < rows, "target wordline out of range");
@@ -74,7 +75,6 @@ pub fn estimate_vd(params: &CrossbarParams, op: &OperatingPoint) -> Vec<(usize, 
     bls.dedup();
     assert!(!bls.is_empty(), "at least one target bitline required");
     assert!(
-        // lint: allow(panic-policy) — invariant: the assert above guarantees bls is nonempty
         *bls.last().expect("nonempty") < cols,
         "target bitline out of range"
     );

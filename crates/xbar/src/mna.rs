@@ -297,7 +297,10 @@ fn max_abs_delta(a: &[f64], b: &[f64]) -> f64 {
 
 /// Block Gauss–Seidel: exact tridiagonal solves per wordline, then per
 /// bitline, sweeping until node voltages settle.
-#[allow(clippy::needless_range_loop)] // index math mirrors the grid layout
+#[expect(
+    clippy::needless_range_loop,
+    reason = "index math mirrors the grid layout"
+)]
 fn solve_linear_relax(
     params: &CrossbarParams,
     drive: &Drive,

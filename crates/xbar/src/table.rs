@@ -256,7 +256,10 @@ impl TimingTable {
                         .collect();
                     let mut all = Vec::with_capacity(points.len());
                     for h in handles {
-                        // lint: allow(panic-policy) — worker panics are bugs worth propagating; join() only fails on panic
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "join() fails only on a worker panic, a bug to propagate"
+                        )]
                         all.extend(h.join().expect("table worker panicked")?);
                     }
                     Ok(all)
@@ -412,14 +415,14 @@ impl TimingTable {
 
     /// Worst (largest) latency in the table — the fixed latency a
     /// pessimistic baseline scheme must always use.
+    #[expect(clippy::expect_used, reason = "a generated table has >= 1 entry")]
     pub fn worst_ps(&self) -> u64 {
-        // lint: allow(panic-policy) — invariant: a generated table always has >= 1 entry (content axis is never empty)
         *self.entries.iter().max().expect("table nonempty") as u64
     }
 
     /// Best (smallest) latency in the table.
+    #[expect(clippy::expect_used, reason = "a generated table has >= 1 entry")]
     pub fn best_ps(&self) -> u64 {
-        // lint: allow(panic-policy) — invariant: a generated table always has >= 1 entry (content axis is never empty)
         *self.entries.iter().min().expect("table nonempty") as u64
     }
 

@@ -16,11 +16,10 @@ clippy:
     cargo fmt --manifest-path perfbench/Cargo.toml -- --check
     cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
-# Project-invariant static analysis, one pass per file: determinism,
-# accounting safety, panic policy and dead pragmas. `--json` and
-# `--list-rules` are also available on the binary; see DESIGN.md §11.
+# The project invariants (determinism, accounting safety, panic policy,
+# audited exceptions) as clippy lints; see DESIGN.md §11.
 lint:
-    cargo run --release -q -p ladder-lint --offline -- --root .
+    cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Run the criterion-shim benches once each, which also enforces the
 # tracing disabled-path allocation gate (trace_overhead).

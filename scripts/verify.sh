@@ -12,16 +12,20 @@ cargo fmt --all -- --check
 cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 
 # The root manifest's default-members cover every workspace crate, so
-# these are the tier-1 commands. The tests include the golden digests,
-# the fast-path/reference property tests (whose test-only references
-# fail this build if a test stops calling them) and the ladder-lint gates
-# (workspace_clean.rs, cli.rs's fixture-corpus exit codes).
+# these are the tier-1 commands. The tests include the golden digests
+# and the fast-path/reference property tests (whose test-only references
+# fail this build if a test stops calling them).
 echo "==> cargo build --release"
 cargo build --release --offline
 
 echo "==> cargo test -q"
 cargo test -q --offline
 
+# Clippy holds the project invariants (DESIGN.md §11): the root
+# clippy.toml and [workspace.lints.clippy] deny hash-ordered collections,
+# the host clock, ambient randomness, lossy accounting casts, panics
+# outside tests and unaudited exceptions. perfbench/ reads the same
+# clippy.toml.
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings

@@ -10,6 +10,10 @@ use ladder::xbar::{TableConfig, TimingTable};
 fn setup(variant: LadderVariant) -> (LadderEngine, LineStore, TimingTable) {
     let map = AddressMap::new(Geometry::default());
     let engine = LadderEngine::new(LadderConfig::for_variant(variant), map);
+    #[expect(
+        clippy::expect_used,
+        reason = "the default table config generates infallibly"
+    )]
     let table = TimingTable::generate(&TableConfig::ladder_default()).expect("table");
     (engine, LineStore::new(), table)
 }

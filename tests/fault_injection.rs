@@ -145,8 +145,8 @@ fn error_rate_sweep_is_identical_at_any_job_count() {
 
 #[test]
 fn fault_sweep_output_is_byte_stable_across_runs() {
-    // The satellite contract behind the `hash-iter` lint rule: two fully
-    // independent sweeps (fresh fault models, wear maps and retire pools)
+    // The dynamic side of the `disallowed_types` ban on `HashMap`/`HashSet`
+    // (root clippy.toml): two fully independent sweeps (fresh fault models, wear maps and retire pools)
     // must render byte-for-byte identical output. Before the
     // BTreeMap conversion of the fold/export paths this held only by
     // hasher-seed luck.

@@ -47,6 +47,7 @@ fn canonical_digest(jobs: usize) -> String {
     let (results, _) = Runner::with_jobs(jobs).run_configs(&cfg, &tables, &configs);
     let mut out = String::new();
     for (&(scheme, bench), r) in CANONICAL.iter().zip(&results) {
+        #[expect(clippy::expect_used, reason = "every canonical run traces")]
         let trace = r.trace.as_ref().expect("tracing was requested");
         out.push_str(&format!(
             "{}/{} digest={} records={} pulses={} reads={} dispatches={}\n",

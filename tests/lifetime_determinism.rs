@@ -25,6 +25,7 @@ fn lifetime_ecfg() -> ExperimentConfig {
     ExperimentConfig::quick()
 }
 
+#[expect(clippy::expect_used, reason = "2x2 is a valid topology")]
 fn sim_config(coding: CodingKind, remap: RemapKind, sharded: bool) -> SimConfig {
     let service = ServiceConfig::builder()
         .load(4.0)
@@ -55,6 +56,7 @@ fn lifetime_digest(jobs: usize) -> String {
         for remap in RemapKind::ALL {
             for sharded in [false, true] {
                 let run = run_sharded(&sim_config(coding, remap, sharded), &ecfg, &tables, &runner);
+                #[expect(clippy::expect_used, reason = "every campaign cell tracks wear")]
                 let wear = run
                     .shards
                     .iter()
@@ -66,8 +68,17 @@ fn lifetime_digest(jobs: usize) -> String {
                     })
                     .fold((0, 0), |(t, w), (st, sw)| (t + st, w.max(sw)));
                 let r = run.merged();
+                #[expect(clippy::expect_used, reason = "every campaign cell traces")]
                 let digest = r.trace.expect("tracing was requested").digest;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "fault injection always returns coding stats"
+                )]
                 let c = r.coding.expect("fault injection returns coding stats");
+                #[expect(
+                    clippy::expect_used,
+                    reason = "fault injection always returns fault stats"
+                )]
                 let f = r.faults.expect("fault injection returns fault stats");
                 out.push_str(&format!(
                     "{}/{}/{} digest={} writes={} worst={} corrected={} \

@@ -87,8 +87,8 @@ fn transforms_preserve_read_contents_over_a_long_run() {
     let mut store = LineStore::new();
     let base = engine.layout().first_data_page().max(40_000);
     let mut gen = WorkloadGen::new(profile_of("astar"), 7, base, 2_000, 8_000);
-    let mut last_written: std::collections::HashMap<u64, LineData> =
-        std::collections::HashMap::new();
+    let mut last_written: std::collections::BTreeMap<u64, LineData> =
+        std::collections::BTreeMap::new();
     while let Some(ev) = gen.next_event() {
         if let TraceOp::Write { addr, data } = ev.op {
             engine.prepare_write(addr);

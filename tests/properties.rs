@@ -373,6 +373,10 @@ proptest! {
 fn location_channel() -> &'static LocationChannel {
     static CHANNEL: OnceLock<LocationChannel> = OnceLock::new();
     CHANNEL.get_or_init(|| {
+        #[expect(
+            clippy::expect_used,
+            reason = "the default table config generates infallibly"
+        )]
         let table = TimingTable::generate(&TableConfig::ladder_default()).expect("table");
         LocationChannel::new(table, AddressMap::new(Geometry::default()))
     })

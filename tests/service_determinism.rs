@@ -26,6 +26,7 @@ fn service_ecfg() -> ExperimentConfig {
     ExperimentConfig::quick()
 }
 
+#[expect(clippy::expect_used, reason = "2x2 is a valid topology")]
 fn sim_config(arrival: ArrivalKind, sharded: bool) -> SimConfig {
     let service = ServiceConfig::builder()
         .arrival(arrival)
@@ -51,7 +52,12 @@ fn service_digest(jobs: usize) -> String {
     for arrival in ArrivalKind::ALL {
         for sharded in [false, true] {
             let r = run_sharded(&sim_config(arrival, sharded), &ecfg, &tables, &runner).merged();
+            #[expect(
+                clippy::expect_used,
+                reason = "a .service(..) run returns service stats"
+            )]
             let svc = r.service.expect("service mode returns stats");
+            #[expect(clippy::expect_used, reason = "every run traces")]
             let digest = r.trace.expect("tracing was requested").digest;
             let report = SloReport::build(&svc.tenants, r.end.duration_since(Instant::ZERO));
             let tails: Vec<String> = report

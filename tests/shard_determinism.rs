@@ -28,6 +28,10 @@ fn shard_cfg() -> ExperimentConfig {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "1, 2 and 4 channels are valid topologies"
+)]
 fn sim_config(channels: usize) -> SimConfig {
     SimConfig::builder()
         .scheme(Scheme::LadderEst)
@@ -50,6 +54,7 @@ fn sharded_digest(jobs: usize) -> String {
             &Runner::with_jobs(jobs),
         )
         .merged();
+        #[expect(clippy::expect_used, reason = "every shard traces")]
         let trace = run.trace.expect("tracing was requested on every shard");
         out.push_str(&format!(
             "{}x2 digest={} records={} writes={} reads={} events={} end={}\n",

@@ -27,6 +27,7 @@ fn quick_traced(scheme: Scheme, bench: &'static str, faults: Option<FaultConfig>
 /// Every reconcilable total, asserted exactly (no tolerances: the trace is
 /// bookkeeping of the same events, not a re-measurement).
 fn assert_reconciles(r: &RunResult) {
+    #[expect(clippy::expect_used, reason = "every reconciled run traces")]
     let trace = r.trace.as_ref().expect("tracing was requested");
     let t = &trace.totals;
     let m = &r.mem;
